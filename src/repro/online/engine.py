@@ -28,18 +28,20 @@ processor — the same quantity batch list scheduling tracks in
 the information a real runtime has at admission time, and the gap between
 plan and fluid-simulated reality surfaces per job as
 ``JobRecord.est_makespan`` vs actual span (§IV-D, per job).
+
+Arrivals are processed one at a time, in submission order, on the
+caller's thread.  Every time input (arrival times, ``advance_until``
+targets) must be finite; the engine rejects the rest.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.experiments.runner import ExperimentRunner
-from repro.online.admission import (AcceptAll, AdmissionPolicy,
-                                    admission_from_spec)
+from repro.online.admission import AdmissionPolicy, admission_from_spec
 from repro.online.live import LiveFluidEngine
 from repro.online.metrics import JobRecord, OnlineMetrics
 from repro.online.stream import JobArrival, JobStream
@@ -69,7 +71,6 @@ class OnlineResult:
     events: int
     solves_full: int
     solves_component: int
-    splits: int = 0              # dynamic component splits performed
     sched_s: float = 0.0         # wall time spent in two-step scheduling
     sim_s: float = 0.0           # wall time spent advancing the engine
     solve_s: float = 0.0         # sim_s share spent in Max-Min solves
@@ -99,7 +100,7 @@ class OnlineSimulator:
         ``"load-shed:SECONDS"``).
     slo:
         JCT threshold (seconds) for the attainment roll-up, optional.
-    lazy / local_index / split_threshold / collect_flow_traces:
+    lazy / collect_flow_traces:
         Forwarded to the :class:`~repro.online.live.LiveFluidEngine`.
     avail_index:
         Keep one warm :class:`~repro.scheduling.avail.AvailabilityIndex`
@@ -109,49 +110,23 @@ class OnlineSimulator:
         way.  ``False`` hands every job the reference scan path.
     vector_price:
         Forwarded to the schedulers' batched candidate pricing knob.
-    solver_threads:
-        Forwarded to the :class:`~repro.online.live.LiveFluidEngine`:
-        how many threads solve independent dirty components per event
-        (default ``None`` reads ``REPRO_SOLVER_THREADS``, falling back
-        to 1 — the serial path, byte-for-byte).
-    pipeline:
-        Overlap the two-step scheduling of each admitted job with the
-        fluid engine's advance to its arrival time (default off).  The
-        schedule of job *i* depends only on its arrival time and the
-        *scheduler-estimated* availability left by jobs ``< i`` — never
-        on engine state — so results are byte-identical to the serial
-        loop; requires accept-all admission (a state-inspecting policy
-        would need the engine advanced first) and a time-ordered stream.
     """
 
     def __init__(self, platform, *,
                  admission: AdmissionPolicy | str = "accept-all",
                  slo: float | None = None,
                  lazy: bool = True,
-                 local_index: bool = True,
-                 split_threshold: float | None = 0.5,
                  collect_flow_traces: bool = False,
                  avail_index: bool = True,
-                 vector_price: bool = True,
-                 solver_threads: int | None = None,
-                 pipeline: bool = False) -> None:
+                 vector_price: bool = True) -> None:
         self.platform = platform
         self.admission = admission_from_spec(admission)
         self.slo = slo
-        if pipeline and not isinstance(self.admission, AcceptAll):
-            raise ValueError(
-                "pipeline=True schedules ahead of the engine clock, so "
-                "admission cannot inspect residual state; it requires "
-                "the accept-all policy")
-        self.pipelined = pipeline
         self.vector_price = vector_price
         self._avail_index = (AvailabilityIndex.for_platform(platform)
                              if avail_index else None)
         self.engine = LiveFluidEngine(platform, lazy=lazy,
-                                      local_index=local_index,
-                                      split_threshold=split_threshold,
-                                      collect_flow_traces=collect_flow_traces,
-                                      solver_threads=solver_threads)
+                                      collect_flow_traces=collect_flow_traces)
         # graph / allocation / redistribution caches, shared across jobs
         # exactly as a campaign runner shares them across cells
         self._pipeline = ExperimentRunner(simulate_schedules=False,
@@ -187,14 +162,8 @@ class OnlineSimulator:
                 est_makespan=pending.est_makespan,
             )
 
-    def _schedule_job(self, job: JobArrival,
-                      now: float | None = None) -> Schedule:
-        """The batch two-step pipeline, seeded with residual availability.
-
-        ``now`` defaults to the engine clock; the pipelined path passes
-        the job's arrival time instead (the two coincide once the engine
-        catches up — the scheduler never reads engine state).
-        """
+    def _schedule_job(self, job: JobArrival) -> Schedule:
+        """The batch two-step pipeline, seeded with residual availability."""
         t0 = time.perf_counter()
         platform = self.platform
         scenario, spec = job.scenario, job.spec
@@ -204,8 +173,7 @@ class OnlineSimulator:
         allocation = self._pipeline.allocation_for(scenario, platform,
                                                    spec.allocator)
 
-        if now is None:
-            now = self.engine.now
+        now = self.engine.now
         release = [max(now, t) for t in self._proc_avail]
         avail_index = (self._avail_index if self._avail_index is not None
                        else False)
@@ -237,7 +205,8 @@ class OnlineSimulator:
         """Advance to the job's arrival, then admit/schedule/inject.
 
         Returns whether the job was admitted; a rejected job's record is
-        final immediately.
+        final immediately.  A duplicate id or a non-finite or rewinding
+        arrival time raises :class:`ValueError` before any state changes.
         """
         if job.job_id in self._records or job.job_id in self._pending:
             raise ValueError(f"duplicate job id {job.job_id!r}")
@@ -265,7 +234,10 @@ class OnlineSimulator:
         return True
 
     def advance_until(self, t: float) -> list[JobRecord]:
-        """Run the engine to ``t``; returns records newly finalised."""
+        """Run the engine to ``t``; returns records newly finalised.
+
+        A non-finite or rewinding ``t`` raises :class:`ValueError`.
+        """
         before = set(self._records)
         self._advance_engine(t)
         self._sync_completions()
@@ -283,57 +255,11 @@ class OnlineSimulator:
     def run(self, stream: JobStream | Iterable[JobArrival], *,
             drain: bool = True) -> OnlineResult:
         """Drive a whole stream; returns records in arrival order."""
-        if self.pipelined:
-            self._run_pipelined(stream)
-        else:
-            for job in stream:
-                self.submit(job)
+        for job in stream:
+            self.submit(job)
         if drain:
             self.drain()
         return self.result()
-
-    def _run_pipelined(self, stream: JobStream | Iterable[JobArrival]) -> None:
-        """Overlap each job's scheduling with the engine's advance.
-
-        The engine catches up to a job's arrival on a worker thread
-        while the main thread runs the job's two-step schedule — legal
-        because residual availability is the *scheduler's* estimate,
-        maintained here, never read from the engine.  Everything that
-        does touch engine state (completion sync, injection) happens
-        after the join, in the exact order of the serial loop, so the
-        records, events and makespan are byte-identical to
-        ``pipeline=False``.
-        """
-        now = self.engine.now
-        for job in stream:
-            if job.job_id in self._records or job.job_id in self._pending:
-                raise ValueError(f"duplicate job id {job.job_id!r}")
-            if job.arrival_time < now:
-                raise ValueError(
-                    f"pipeline=True needs a time-ordered stream; "
-                    f"{job.job_id!r} arrives at {job.arrival_time} < {now}")
-            now = job.arrival_time
-            worker = threading.Thread(
-                target=self._advance_engine, args=(now,),
-                name="repro-online-advance")
-            worker.start()
-            try:
-                schedule = self._schedule_job(job, now=now)
-            finally:
-                worker.join()
-            self._sync_completions()
-            self._order.append(job.job_id)
-            # admission is accept-all by construction (checked in
-            # __init__): admit unconditionally without building a
-            # residual snapshot the policy would ignore
-            for entry in schedule.entries.values():
-                for p in entry.procs:
-                    if entry.finish > self._proc_avail[p]:
-                        self._proc_avail[p] = entry.finish
-            self._pending[job.job_id] = _PendingJob(
-                arrival=job, est_makespan=schedule.makespan)
-            self._in_flight.add(job.job_id)
-            self.engine.inject(job.job_id, schedule, job.arrival_time)
 
     def records(self) -> list[JobRecord]:
         """Records finalised so far, in arrival order."""
@@ -349,7 +275,6 @@ class OnlineSimulator:
             events=self.engine.events,
             solves_full=self.engine.solves_full,
             solves_component=self.engine.solves_component,
-            splits=self.engine.splits,
             sched_s=self.sched_s,
             sim_s=self.sim_s,
             solve_s=self.engine.solve_s,

@@ -9,9 +9,9 @@ registry, re-solving only the components they touch.
 
 :class:`LiveFluidEngine` is that engine.  It drives the *same*
 :class:`~repro.simulation.simulator._ComponentRegistry` the batch
-engine runs on — the component union-find, event heap, lazy re-solve,
-local link indexing and dynamic splits live in one implementation —
-plus two operations the batch loop never needed:
+engine runs on — the component union-find, event heap, lazy re-solve
+and local link indexing live in one implementation — plus two
+operations the batch loop never needed:
 
 * :meth:`inject` — add a scheduled job at the current virtual time
   (tasks, per-processor queue entries, edge flows, pair table rows);
@@ -46,7 +46,6 @@ from repro.simulation.simulator import (
     _TIME_EPS,
     _ComponentRegistry,
     _grow,
-    _resolve_solver_threads,
 )
 from repro.simulation.trace import FlowTrace, TaskTrace
 
@@ -85,23 +84,10 @@ class LiveFluidEngine:
         Re-solve only touched components (default); ``False`` re-solves
         every live component at every flow-set change — the same
         byte-identical full-solve oracle the batch engine offers.
-    local_index:
-        Per-component local link numbering for O(component links) solves
-        (default on; bitwise-neutral — see the batch engine).
-    split_threshold:
-        Drain-hysteresis fraction for dynamic component splits (default
-        0.5; ``None`` disables, reproducing merge-only solve costs).
-    solver_threads:
-        Concurrent dirty-component solves through the GIL-free batch
-        kernel (default ``None`` = the ``REPRO_SOLVER_THREADS`` env
-        var, itself defaulting to 1).  Byte-identical for every value —
-        see :class:`~repro.simulation.simulator.FluidSimulator`.
     """
 
     def __init__(self, cluster, *, collect_flow_traces: bool = False,
-                 lazy: bool = True, local_index: bool = True,
-                 split_threshold: float | None = 0.5,
-                 solver_threads: int | None = None) -> None:
+                 lazy: bool = True) -> None:
         self.cluster = cluster
         self.topo = cluster.topology
         self.capacities = self.topo.capacity_array
@@ -127,12 +113,8 @@ class LiveFluidEngine:
         self.release_time = np.empty(8, dtype=float)
 
         # ---- shared component machinery (same class as batch) ---- #
-        self.solver_threads = _resolve_solver_threads(solver_threads)
-        self.reg = _ComponentRegistry(
-            self.capacities, self.pair_routes, self.pair_cap,
-            lazy=lazy, local_index=local_index,
-            split_threshold=split_threshold,
-            solver_threads=self.solver_threads)
+        self.reg = _ComponentRegistry(self.capacities, self.pair_routes,
+                                      self.pair_cap, lazy=lazy)
         self.reg.bind(self.remaining, self.done_threshold)
 
         # ---- task bookkeeping (dict-based _TaskBookkeeping) ---- #
@@ -175,10 +157,6 @@ class LiveFluidEngine:
         return self.reg.solves_component
 
     @property
-    def splits(self) -> int:
-        return self.reg.splits
-
-    @property
     def solve_rows(self) -> int:
         return self.reg.solve_rows
 
@@ -198,12 +176,12 @@ class LiveFluidEngine:
     def inject(self, job_id: str, schedule: Schedule, at: float) -> None:
         """Add a scheduled job's tasks and flows at virtual time ``at``.
 
-        ``at`` must not precede the current virtual time; ready source
-        tasks start immediately at ``at``.
+        ``at`` must be finite and must not precede the current virtual
+        time; ready source tasks start immediately at ``at``.
         """
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        if at < self.now - _TIME_EPS:
+        if not math.isfinite(at) or at < self.now - _TIME_EPS:
             raise ValueError(
                 f"cannot inject {job_id!r} at t={at} (now={self.now})")
         graph = schedule.graph
@@ -415,7 +393,10 @@ class LiveFluidEngine:
     def advance_until(self, t: float) -> None:
         """Process every pending event at or before ``t``; the virtual
         clock ends at ``max(now, t)``.  Idle gaps just advance the clock —
-        components carry their own materialisation times."""
+        components carry their own materialisation times.  A non-finite
+        ``t`` is rejected: the loop would never reach it."""
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance to non-finite t={t}")
         if t < self.now - _TIME_EPS:
             raise ValueError(f"cannot rewind from t={self.now} to t={t}")
         t0 = perf_counter()

@@ -33,7 +33,8 @@ Requests carry an ``op``:
 
 Completion records arrive interleaved, each as
 ``{"type": "record", "record": {...}}`` on the submitting connection;
-errors as ``{"type": "error", "error": "..."}``.
+errors as ``{"type": "error", "error": "..."}`` — among them a
+non-finite ``t`` and a ``job_id`` already in use.
 
 Time
 ----
@@ -56,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import socket
 import time
 from typing import Iterable, Sequence
@@ -96,6 +98,8 @@ class OnlineService:
             t = self._wall_now()
         else:
             t = float(payload.get("t", self.sim.engine.now))
+            if not math.isfinite(t):
+                raise ValueError(f"arrival time must be finite, got {t}")
         # the engine cannot rewind; a late-stamped virtual arrival joins now
         return max(t, self.sim.engine.now)
 
@@ -120,13 +124,15 @@ class OnlineService:
         scenario = _scenario_from_workload(
             workload, sample=int(payload.get("sample", 0)))
         spec = _spec_from_algorithm(payload.get("algorithm", "hcpa"))
+        arrival = self._arrival_time(payload)
         job_id = str(payload.get("job_id", f"srv-{self._n_submitted:05d}"))
         self._n_submitted += 1
-        arrival = self._arrival_time(payload)
         job = JobArrival(job_id=job_id, arrival_time=arrival,
                          scenario=scenario, spec=spec)
-        self._writers[job_id] = writer
         admitted = self.sim.submit(job)
+        # only a submission the simulator accepted owns its job id: a
+        # rejected duplicate must not redirect the first submitter's record
+        self._writers[job_id] = writer
         return {"type": "ack", "job_id": job_id, "admitted": admitted,
                 "t": arrival}
 

@@ -45,7 +45,9 @@ The default engine additionally maintains the active pairs as
 * the "next flow completion" comes from a global **component event
   heap** keyed by each component's earliest projection, lazily
   invalidated by a per-component stamp — so the per-event cost scales
-  with the touched component, not with the platform.
+  with the touched component, not with the platform;
+* each component numbers its links locally, so its solves see a
+  capacity array of O(component links) instead of the whole platform's.
 
 ``lazy=False`` runs the same component machinery but re-solves every live
 component at every flow-set change; since the extra solves see identical
@@ -61,8 +63,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter
@@ -70,7 +70,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.dag.task import TaskGraph
-from repro.network.maxmin import bundle_components, dsu_find, waterfill_bundled
+from repro.network.maxmin import dsu_find, waterfill_bundled
 from repro.platforms.cluster import Cluster
 from repro.redistribution.matrix import redistribution_flows
 from repro.scheduling.schedule import Schedule
@@ -81,43 +81,8 @@ __all__ = ["FluidSimulator", "SimulationResult", "simulate"]
 _TIME_EPS = 1e-9
 #: Completion threshold as a fraction of a flow's total bytes.
 _REL_BYTES_EPS = 1e-9
-#: Components below this live-row count never partition: their solves
-#: cost microseconds while a partition build (connectivity labelling +
-#: part-local index construction) costs ~a millisecond — splits only pay
-#: on components large enough that part-scoped solves amortise the build.
-_SPLIT_MIN_ROWS = 32
 
 _BY_CID = attrgetter("cid")
-
-
-def _resolve_solver_threads(n: int | None) -> int:
-    """``solver_threads`` knob resolution: explicit value, else the
-    ``REPRO_SOLVER_THREADS`` env var, else 1 (today's serial path)."""
-    if n is None:
-        raw = os.environ.get("REPRO_SOLVER_THREADS", "").strip()
-        n = int(raw) if raw else 1
-    return max(1, int(n))
-
-
-_SOLVER_POOL: ThreadPoolExecutor | None = None
-_SOLVER_POOL_SIZE = 0
-
-
-def _solver_pool(n: int) -> ThreadPoolExecutor:
-    """The persistent solver thread pool, grown (never shrunk) to ``n``.
-
-    One process-wide pool: engines come and go per scenario, but worker
-    threads are only ever parked on a queue, so keeping them across
-    engine lifetimes avoids the spawn cost on every simulation."""
-    global _SOLVER_POOL, _SOLVER_POOL_SIZE
-    if _SOLVER_POOL is None or _SOLVER_POOL_SIZE < n:
-        old = _SOLVER_POOL
-        _SOLVER_POOL = ThreadPoolExecutor(
-            max_workers=n, thread_name_prefix="repro-solver")
-        _SOLVER_POOL_SIZE = n
-        if old is not None:
-            old.shutdown(wait=False)
-    return _SOLVER_POOL
 
 
 @dataclass
@@ -141,11 +106,8 @@ class SimulationResult:
     maxmin_solves: int = 0
     solves_full: int = 0
     solves_component: int = 0
-    #: dynamic component splits performed (component engine only)
-    splits: int = 0
     #: total bundle rows handed to the solver across all component solves —
-    #: the work proxy that makes the split/local-index saving measurable
-    #: even when the solve *count* stays the same
+    #: a work proxy that moves even when the solve *count* stays the same
     solve_rows: int = 0
     #: wall-clock seconds inside the rate re-solve phase (waterfilling,
     #: projection updates, heap pushes) vs everything else in the event
@@ -242,33 +204,6 @@ def _grow(arr: np.ndarray, need: int) -> np.ndarray:
     return new
 
 
-class _Part:
-    """One link-disjoint block of a dynamically split component.
-
-    A view over a subset of the owning component's rows, with its own
-    part-local link numbering and capacity slice — so re-solving one
-    part costs O(part links) per round, not O(component links).  Parts
-    *can* change shape: a pair (re)activation whose links all fall
-    inside one part is grafted onto it (``_Component._graft_row``),
-    which appends the row in sorted position and marks the part-local
-    view stale (``flat = None``); the next part solve rebuilds it.
-    Only a *bridging* activation — links spanning several parts — drops
-    the whole partition (``_ComponentRegistry`` rebuilds it on the next
-    drain hysteresis trigger).
-    """
-
-    __slots__ = ("rows", "flat", "ptr", "caps", "route_len")
-
-    def __init__(self, rows: np.ndarray, flat: np.ndarray,
-                 ptr: np.ndarray, caps: np.ndarray,
-                 route_len: int) -> None:
-        self.rows = rows            # owning component's row indices
-        self.flat = flat            # CSR link incidence, part-local ids
-        self.ptr = ptr
-        self.caps = caps            # part-local capacity array
-        self.route_len = route_len  # uniform route length, 0 = mixed
-
-
 class _Component:
     """One link-connected component of the active pair set.
 
@@ -281,32 +216,26 @@ class _Component:
     pair activation — the "bundle diff" that lets consecutive solves of
     the same component skip any rebuild.
 
-    With ``caps_global`` set, ``flat`` holds **component-local** link ids:
-    every global link seen gets a compact local id (``local_of`` /
-    ``local_links``) and its capacity is mirrored into ``cap_local``, so
+    ``flat`` holds **component-local** link ids: every global link seen
+    gets a compact local id (``local_of`` / ``local_links``) and its
+    capacity (from ``caps_global``) is mirrored into ``cap_local``, so
     the solver receives a residual array of size O(component links)
-    instead of the whole platform's.  Renumbering links changes nothing
-    in the waterfilling arithmetic (every per-link accumulation keeps its
-    entry order, links absent from the component contribute count 0 and
-    level inf either way), so local solves are bitwise identical to
-    global ones.
+    instead of the whole platform's.
     """
 
     __slots__ = (
         "cid", "alive", "dirty", "stamp", "t_mat", "next_t",
         "pair_rows",
-        "row_pair", "mult", "row_caps", "n_rows", "live_rows", "peak_rows",
+        "row_pair", "mult", "row_caps", "n_rows", "live_rows",
         "flat", "ptr", "row_lens", "flat_len", "route_len", "uniform",
         "rates",
         "flow_fid", "flow_row", "n_flows", "live_flows", "flow_rates",
         "proj",
         "caps_global", "local_of", "local_links", "cap_local", "n_local",
-        "parts", "part_of_row", "part_dirty", "part_of_link",
         "arena", "arena_addr", "touch_epoch",
     )
 
-    def __init__(self, cid: int,
-                 caps_global: np.ndarray | None = None) -> None:
+    def __init__(self, cid: int, caps_global: np.ndarray) -> None:
         self.cid = cid
         self.alive = True
         self.dirty = True
@@ -325,7 +254,6 @@ class _Component:
         self.flat_len = 0
         self.n_rows = 0
         self.live_rows = 0
-        self.peak_rows = 0          # live-row high-water mark (split check)
         self.route_len = 0          # uniform route length, 0 = mixed
         self.uniform = True
         self.rates = np.zeros(0)
@@ -335,21 +263,12 @@ class _Component:
         self.live_flows = 0
         self.flow_rates = np.zeros(8)
         self.proj = np.full(8, np.inf)
-        # local link index (None caps_global = global link ids in flat)
+        # local link index
         self.caps_global = caps_global
         self.local_of: dict[int, int] = {}
         self.local_links = np.empty(8, dtype=np.intp)
         self.cap_local = np.empty(8, dtype=float)
         self.n_local = 0
-        # dynamic split state (see _ComponentRegistry): link-disjoint
-        # partition of the live rows, rebuilt on drain hysteresis;
-        # maintained incrementally across pair (re)activations via
-        # part_of_link (local link id -> part, -1 = unassigned) and
-        # dropped only by merges or bridging activations
-        self.parts: list[_Part] | None = None
-        self.part_of_row: np.ndarray | None = None
-        self.part_dirty: np.ndarray | None = None
-        self.part_of_link: np.ndarray | None = None
         # packed C-kernel descriptor (sizes + raw array addresses),
         # cached between solves and dropped by every structural
         # mutation — the existing bundle-diff bookkeeping decides when
@@ -391,23 +310,13 @@ class _Component:
         self.row_lens[row] = len(links)
         end = self.flat_len + len(links)
         self.flat = _grow(self.flat, end)
-        ids = (np.asarray(links, dtype=np.intp)
-               if self.caps_global is None else self.local_ids(links))
-        self.flat[self.flat_len:end] = ids
+        self.flat[self.flat_len:end] = self.local_ids(links)
         self.flat_len = end
-        if self.parts is not None:
-            if self.part_of_link is None or not len(ids):
-                self.parts = None      # no link index: drop the partition
-                self.part_of_link = None
-            else:
-                self._graft_row(row, ids)
         self.ptr = _grow(self.ptr, row + 2)
         self.ptr[row + 1] = end
         self.arena = None
         self.n_rows = row + 1
         self.live_rows += 1
-        if self.live_rows > self.peak_rows:
-            self.peak_rows = self.live_rows
         self.pair_rows[pair] = row
         if row == 0:
             self.route_len = len(links)
@@ -415,56 +324,6 @@ class _Component:
             self.uniform = False
             self.route_len = 0
         return row
-
-    def _graft_row(self, row: int, lids: np.ndarray) -> None:
-        """Attach a (re)activated row to the standing partition.
-
-        If the row's links are confined to one part (or wholly unseen),
-        the partition stays valid: the row joins that part (or founds a
-        new singleton part), the part's local view is marked stale for
-        rebuild at its next solve, and link-disjointness — the property
-        that makes part-scoped solves bitwise-identical to full ones —
-        is preserved.  A row bridging several parts drops the partition.
-        Rows are kept sorted within a part so the part solve sees them
-        in the same order a full-component solve would.
-        """
-        pol = self.part_of_link
-        if len(pol) < self.n_local:       # local index grew with this row
-            new = np.full(max(self.n_local, 2 * len(pol)), -1,
-                          dtype=np.intp)
-            new[:len(pol)] = pol
-            self.part_of_link = pol = new
-        touched = np.unique(pol[lids])
-        if len(touched) and touched[0] == -1:
-            touched = touched[1:]
-        if len(touched) > 1:
-            self.parts = None             # bridging activation
-            self.part_of_link = None
-            return
-        if len(touched) == 1:
-            p = int(touched[0])
-            part = self.parts[p]
-            part.rows = np.insert(part.rows,
-                                  int(np.searchsorted(part.rows, row)),
-                                  row)
-        else:
-            p = len(self.parts)
-            self.parts.append(_Part(np.array([row], dtype=np.intp),
-                                    None, None, None, 0))
-            self.part_dirty = np.append(self.part_dirty, False)
-        self.parts[p].flat = None         # stale part-local view
-        self.part_dirty[p] = True
-        pol[lids] = p
-        if row >= len(self.part_of_row):
-            n = len(self.part_of_row)
-            new = np.full(max(row + 1, 2 * n), -1, dtype=np.intp)
-            new[:n] = self.part_of_row
-            self.part_of_row = new
-        self.part_of_row[row] = p
-        if row >= len(self.rates):
-            self.rates = _grow(self.rates, row + 1)
-        self.rates[row] = 0.0             # rewritten by the dirty solve
-        self.arena = None
 
     def add_flow(self, fid: int, row: int) -> None:
         n = self.n_flows
@@ -541,41 +400,6 @@ class _Component:
         return dropped
 
 
-def _connected_rows(flat: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Link-connected component label of every CSR row.
-
-    Labels are numbered by first row appearance — the exact contract of
-    :func:`repro.network.maxmin.bundle_components`, which is the
-    dependency-free fallback when scipy is unavailable.  The scipy path
-    runs the connected-components sweep over the bipartite row↔link
-    graph in compiled code, which is what makes split checks affordable
-    on large components.
-    """
-    n_rows = len(ptr) - 1
-    if n_rows <= 1 or not len(flat):
-        return np.arange(n_rows, dtype=np.intp) if not len(flat) \
-            else np.zeros(n_rows, dtype=np.intp) if n_rows == 1 \
-            else bundle_components(flat, ptr)
-    try:
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - scipy-free environments
-        return bundle_components(flat, ptr)
-    n_ids = int(flat.max()) + 1
-    rows = np.repeat(np.arange(n_rows, dtype=np.intp), np.diff(ptr))
-    graph = sparse.coo_matrix(
-        (np.ones(len(flat), dtype=np.int8), (rows, flat + n_rows)),
-        shape=(n_rows + n_ids, n_rows + n_ids))
-    _, labels = connected_components(graph, directed=False)
-    row_labels = labels[:n_rows]
-    # renumber by first appearance so scipy and the DSU fallback agree
-    uniq, first = np.unique(row_labels, return_index=True)
-    rank = np.empty(len(uniq), dtype=np.intp)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(uniq),
-                                                       dtype=np.intp)
-    return rank[np.searchsorted(uniq, row_labels)]
-
-
 class _ComponentRegistry:
     """The link-connected component machinery shared by both engines.
 
@@ -583,55 +407,22 @@ class _ComponentRegistry:
     component event heap and the local (route-less) flow pseudo-heap, and
     performs the event-loop phases that touch components: the completion
     sweep (:meth:`sweep`), flow releases (:meth:`release`) and the
-    re-solve with optional dynamic splits (:meth:`resolve`).  The batch
-    :class:`FluidSimulator` and the online
-    :class:`~repro.online.live.LiveFluidEngine` both drive this one
-    implementation, so the two engines cannot drift apart.
+    re-solve (:meth:`resolve`).  The batch :class:`FluidSimulator` and
+    the online :class:`~repro.online.live.LiveFluidEngine` both drive
+    this one implementation, so the two engines cannot drift apart.
 
     ``remaining`` / ``done_threshold`` are *bound* by the owning engine
     (and re-bound after amortised growth): the registry always reads the
     arrays the engine currently owns.  ``pair_routes`` / ``pair_cap`` are
     held by reference too — the live engine appends to them on inject.
-
-    Dynamic splits
-    --------------
-    Components merge eagerly but — with ``split_threshold`` set — their
-    *solves* no longer stay coarse forever: when a component's live-pair
-    count has fallen to ``split_threshold × peak_rows`` at a re-solve,
-    its live rows are re-partitioned by link connectivity
-    (:func:`_connected_rows`).  If they fall apart, each block becomes a
-    :class:`_Part` with its own part-local link index, and subsequent
-    solves re-waterfill only the parts that events actually dirtied,
-    splicing cached rates for the rest.  The component remains *one*
-    entity for materialisation, projections and the event heap — that is
-    what makes splitting byte-identical to merge-only: a Max-Min solve
-    decomposes exactly over link-disjoint row sets (the same property
-    the lazy component engine itself rests on), while every remaining
-    flow still advances on the identical schedule.  A physical split
-    into independent components would instead change *when* flows
-    materialise and re-project, which perturbs the floating-point
-    summation order of ``remaining`` — observably different traces.
-    Any structural growth (pair activation, merge) drops the partition;
-    the hysteresis (``peak_rows`` re-armed at every partition build, a
-    :data:`_SPLIT_MIN_ROWS` floor, and no rebuild while a partition is
-    already standing) amortises the O(component) build cost over the
-    drains that earn it — drain-heavy workloads complete rows in large
-    synchronised batches, so re-checking connectivity at every further
-    halving would rebuild on nearly every solve and never reach a
-    part-scoped one.
     """
 
     def __init__(self, capacities: np.ndarray, pair_routes, pair_cap, *,
-                 lazy: bool = True, local_index: bool = True,
-                 split_threshold: float | None = 0.5,
-                 solver_threads: int = 1) -> None:
+                 lazy: bool = True) -> None:
         self.capacities = capacities
         self.pair_routes = pair_routes
         self.pair_cap = pair_cap
         self.lazy = lazy
-        self.local_index = local_index
-        self.split_threshold = float(split_threshold or 0.0)
-        self.solver_threads = max(1, int(solver_threads))
         n_links = len(capacities)
         self.comps: list[_Component] = []
         self.parent: list[int] = []         # union-find over component ids
@@ -651,7 +442,6 @@ class _ComponentRegistry:
         self.solves_full = 0
         self.solves_component = 0
         self.solve_rows = 0
-        self.splits = 0
         #: wall-clock seconds spent inside resolve() — the solve phase
         self.solve_s = 0.0
         self._epoch = 0                      # current event, for touched
@@ -662,7 +452,6 @@ class _ComponentRegistry:
         from repro.network._ckernel import load_batch_kernel, load_sweep_kernel
         self._batch_knl = load_batch_kernel()
         self._sweep_knl = load_sweep_kernel()
-        self._caps_addr = capacities.ctypes.data
         self._rem_addr = 0                   # set by bind()
         self._thr_addr = 0
         # reusable kernel I/O buffers (grown on demand) + cached addresses
@@ -681,8 +470,7 @@ class _ComponentRegistry:
 
     def new_component(self) -> _Component:
         cid = len(self.comps)
-        comp = _Component(cid,
-                          self.capacities if self.local_index else None)
+        comp = _Component(cid, self.capacities)
         self.comps.append(comp)
         self.parent.append(cid)
         return comp
@@ -719,7 +507,7 @@ class _ComponentRegistry:
         """The component's packed kernel descriptor, (re)built on demand.
 
         Cached until a structural mutation (pair/flow growth, merge,
-        compaction, partition, rates rebind) drops it — completion-only
+        compaction, rates rebind) drops it — completion-only
         steady-state events reuse the descriptor untouched."""
         d = comp.arena
         if d is not None:
@@ -729,12 +517,8 @@ class _ComponentRegistry:
             comp.rates = _grow(comp.rates, n)
         d = np.empty(16, dtype=np.int64)
         d[0] = n
-        if comp.caps_global is None:
-            d[1] = len(self.capacities)
-            d[7] = self._caps_addr
-        else:
-            d[1] = comp.n_local
-            d[7] = comp.cap_local.ctypes.data
+        d[1] = comp.n_local
+        d[7] = comp.cap_local.ctypes.data
         d[2] = comp.flat.ctypes.data
         if comp.uniform and comp.route_len:
             d[3] = 0
@@ -779,22 +563,15 @@ class _ComponentRegistry:
         a.row_lens[off:off + b.n_rows] = b.row_lens[:b.n_rows]
         end = a.flat_len + b.flat_len
         a.flat = _grow(a.flat, end)
-        if a.caps_global is None:
-            a.flat[a.flat_len:end] = b.flat[:b.flat_len]
-        else:
-            # remap b's local link ids into a's local index
-            remap = a.local_ids(b.local_links[:b.n_local].tolist())
-            a.flat[a.flat_len:end] = remap[b.flat[:b.flat_len]]
+        # remap b's local link ids into a's local index
+        remap = a.local_ids(b.local_links[:b.n_local].tolist())
+        a.flat[a.flat_len:end] = remap[b.flat[:b.flat_len]]
         a.ptr = _grow(a.ptr, off + b.n_rows + 1)
         a.ptr[off + 1:off + b.n_rows + 1] = (a.flat_len
                                              + b.ptr[1:b.n_rows + 1])
         a.flat_len = end
         a.n_rows = off + b.n_rows
         a.live_rows += b.live_rows
-        if a.live_rows > a.peak_rows:
-            a.peak_rows = a.live_rows
-        a.parts = None    # cross-component growth drops the partition
-        a.part_of_link = None
         for pid, row in b.pair_rows.items():
             a.pair_rows[pid] = off + row
             self.comp_of_pair[pid] = a.cid
@@ -896,19 +673,7 @@ class _ComponentRegistry:
             link_owner[li] = me
             self.link_pairs[li] += 1
         comp.live_rows += 1
-        if comp.live_rows > comp.peak_rows:
-            comp.peak_rows = comp.live_rows
         comp.dirty = True
-        if comp.parts is not None:
-            p = (int(comp.part_of_row[row])
-                 if row < len(comp.part_of_row) else -1)
-            if p >= 0:
-                comp.part_dirty[p] = True
-            elif comp.part_of_link is not None:
-                comp._graft_row(row, comp.local_ids(links))
-            else:
-                comp.parts = None
-                comp.part_of_link = None
         return comp, row
 
     # ------------------------------------------------------------------ #
@@ -916,10 +681,9 @@ class _ComponentRegistry:
         self.solves_component += 1
         n = comp.n_rows
         self.solve_rows += n
-        # local components hand the solver their own capacity slice:
+        # components hand the solver their own capacity slice:
         # O(component links) per round instead of O(platform links)
-        caps_arr = (self.capacities if comp.caps_global is None
-                    else comp.cap_local[:comp.n_local])
+        caps_arr = comp.cap_local[:comp.n_local]
         if comp.uniform and comp.route_len:
             return waterfill_bundled(
                 comp.flat[:comp.flat_len], None, comp.mult[:n],
@@ -931,16 +695,8 @@ class _ComponentRegistry:
 
     def solve(self, comp: _Component, t: float) -> None:
         """Re-solve the component's rates and projections at ``t``."""
-        thr = self.split_threshold
-        if (thr and comp.parts is None
-                and comp.live_rows >= _SPLIT_MIN_ROWS
-                and comp.live_rows <= thr * comp.peak_rows):
-            self._partition(comp)             # includes one full solve
-        elif comp.parts is None:
-            comp.rates = self.comp_waterfill(comp)
-            comp.arena = None                 # rates buffer rebound
-        else:
-            self._solve_parts(comp)
+        comp.rates = self.comp_waterfill(comp)
+        comp.arena = None                     # rates buffer rebound
         nf = comp.n_flows
         rf = comp.rates[comp.flow_row[:nf]]
         comp.flow_rates[:nf] = rf
@@ -949,104 +705,6 @@ class _ComponentRegistry:
         comp.next_t = float(comp.proj[:nf].min()) if nf else math.inf
         comp.dirty = False
         self.push_comp(comp)
-
-    # ------------------------------------------------------------------ #
-    # dynamic splits
-    # ------------------------------------------------------------------ #
-    def _partition(self, comp: _Component) -> None:
-        """Re-partition ``comp``'s live rows by link connectivity.
-
-        Performs one full-component solve either way (the caller is on
-        the solve path), then — if the live rows fall into several
-        link-disjoint blocks — builds the :class:`_Part` views that let
-        subsequent solves touch only dirtied blocks.  ``peak_rows``
-        re-arms to the current live count, so the next check waits for
-        another ``split_threshold``-factor drain.
-        """
-        comp.peak_rows = comp.live_rows
-        comp.rates = self.comp_waterfill(comp)
-        comp.arena = None                     # rates buffer rebound
-        comp.parts = None
-        comp.part_of_link = None
-        n = comp.n_rows
-        live = np.nonzero(comp.mult[:n] > 0)[0]
-        sub_flat, sub_lens = _csr_gather(comp.flat, comp.ptr[:n + 1], live)
-        sub_ptr = np.zeros(len(live) + 1, dtype=np.intp)
-        np.cumsum(sub_lens, out=sub_ptr[1:])
-        labels = _connected_rows(sub_flat, sub_ptr)
-        k = int(labels.max()) + 1 if len(labels) else 0
-        if k <= 1:
-            return
-        self.splits += 1
-        caps_src = (self.capacities if comp.caps_global is None
-                    else comp.cap_local[:comp.n_local])
-        part_of_link = (np.full(comp.n_local, -1, dtype=np.intp)
-                        if comp.caps_global is not None else None)
-        parts: list[_Part] = []
-        for lbl in range(k):
-            sel = labels == lbl
-            rows = live[sel]
-            entries, lens = _csr_gather(sub_flat, sub_ptr,
-                                        np.nonzero(sel)[0])
-            # part-local renumbering: bitwise-neutral for the solver
-            # (per-link accumulations keep entry order either way)
-            uniq, inv = np.unique(entries, return_inverse=True)
-            ptr = np.zeros(len(rows) + 1, dtype=np.intp)
-            np.cumsum(lens, out=ptr[1:])
-            rl = int(lens[0]) if len(lens) and (lens == lens[0]).all() \
-                else 0
-            parts.append(_Part(rows, inv.astype(np.intp, copy=False),
-                               ptr, caps_src[uniq], rl))
-            if part_of_link is not None:
-                part_of_link[uniq] = lbl
-        comp.parts = parts
-        comp.part_of_link = part_of_link
-        part_of_row = np.full(n, -1, dtype=np.intp)
-        part_of_row[live] = labels
-        comp.part_of_row = part_of_row
-        comp.part_dirty = np.zeros(k, dtype=bool)  # full solve just ran
-
-    def _solve_parts(self, comp: _Component) -> None:
-        """Re-waterfill only the dirtied parts, splicing cached rates.
-
-        Bitwise-identical to a full-component solve: rates of rows in
-        clean parts would be recomputed to the very same values (their
-        links saw no change), and the dirty parts' solves see the same
-        per-link arithmetic as inside the full solve.
-        """
-        mult, row_caps, rates = comp.mult, comp.row_caps, comp.rates
-        for idx in np.nonzero(comp.part_dirty)[0]:
-            part = comp.parts[idx]
-            rows = part.rows
-            if part.flat is None:
-                # stale view: rows were grafted since the last build —
-                # rebuild with the same arithmetic as _partition's build
-                entries, lens = _csr_gather(comp.flat,
-                                            comp.ptr[:comp.n_rows + 1],
-                                            rows)
-                uniq, inv = np.unique(entries, return_inverse=True)
-                ptr = np.zeros(len(rows) + 1, dtype=np.intp)
-                np.cumsum(lens, out=ptr[1:])
-                part.flat = inv.astype(np.intp, copy=False)
-                part.ptr = ptr
-                caps_src = (self.capacities if comp.caps_global is None
-                            else comp.cap_local[:comp.n_local])
-                part.caps = caps_src[uniq]
-                part.route_len = (int(lens[0])
-                                  if len(lens) and (lens == lens[0]).all()
-                                  else 0)
-            self.solves_component += 1
-            self.solve_rows += len(rows)
-            if part.route_len:
-                r = waterfill_bundled(
-                    part.flat, None, mult[rows],
-                    part.caps, row_caps[rows], route_len=part.route_len)
-            else:
-                r = waterfill_bundled(
-                    part.flat, part.ptr, mult[rows],
-                    part.caps, row_caps[rows])
-            rates[rows] = r
-        comp.part_dirty[:] = False
 
     # ------------------------------------------------------------------ #
     # event-loop phases
@@ -1077,9 +735,8 @@ class _ComponentRegistry:
         Completions are buffered and delivered in ascending flow id —
         the order the per-flow reference engine uses (its active set is
         kept fid-sorted) — so the trace order of same-instant
-        completions never depends on component row layout, which can
-        legitimately differ between split/merge-only/resurrected
-        configurations of the same simulation."""
+        completions never depends on component row layout, which
+        merges and pair resurrection reshuffle."""
         comps = self.comps
         comp_heap = self.comp_heap
         remaining = self.remaining
@@ -1123,8 +780,6 @@ class _ComponentRegistry:
                 set_changed = True
                 comp.dirty = True
                 comp.live_flows -= n_done
-                if comp.parts is not None:
-                    comp.part_dirty[comp.part_of_row[rows]] = True
             else:
                 self.materialize(comp, now)
                 nf = comp.n_flows
@@ -1145,8 +800,6 @@ class _ComponentRegistry:
                 comp.dirty = True
                 comp.live_flows -= len(finished)
                 rows = comp.flow_row[:nf][done_sel]
-                if comp.parts is not None:
-                    comp.part_dirty[comp.part_of_row[rows]] = True
                 np.subtract.at(comp.mult, rows, 1)
                 remaining[finished] = np.inf      # dead-slot marker
                 comp.flow_rates[:nf][done_sel] = 0.0
@@ -1185,16 +838,9 @@ class _ComponentRegistry:
                 # trigger must not depend on engine knobs: whether a
                 # pair resurrects in place or re-activates fresh decides
                 # future row order, and the solver's per-link float
-                # accumulation is row-order-sensitive in the last ulp —
-                # so a partitioned component compacts too (dropping its
-                # partition views, which renumbering would orphan; the
-                # next solve re-partitions if still eligible), keeping
-                # split and merge-only layouts in lockstep.
+                # accumulation is row-order-sensitive in the last ulp.
                 if (comp.live_rows * 8 < comp.n_rows
                         and comp.n_rows > 64):
-                    if comp.parts is not None:
-                        comp.parts = None
-                        comp.part_of_link = None
                     for dead_pid in comp.compact_rows():
                         self.comp_of_pair[dead_pid] = -1
                 if comp.touch_epoch != self._epoch:  # inlined _touch
@@ -1232,8 +878,6 @@ class _ComponentRegistry:
             if comp.mult[row] > 0:         # pair is live: just pile on
                 self.materialize(comp, now)
                 comp.dirty = True
-                if comp.parts is not None:
-                    comp.part_dirty[comp.part_of_row[row]] = True
             else:                          # drained tombstone: revive it
                 comp, row = self.resurrect_pair(pid, comp, row, now)
         comp.mult[row] += 1
@@ -1251,16 +895,9 @@ class _ComponentRegistry:
         On the lazy path all dirty components re-solve through **one**
         batched kernel crossing (``repro_waterfill_batch``) — the
         same-timestamp completions the sweep coalesced across components
-        become a single re-solve — optionally chunked over the
-        persistent solver thread pool (``solver_threads > 1``).  Results
-        are committed in ascending component id, so stamps, heap pushes
-        and counters follow one deterministic order however many threads
-        produced the rates; per-component outputs are disjoint slices,
-        so the values themselves are thread-count-invariant, making
-        every thread setting byte-identical to the serial path.
-        Components under the split machinery (standing parts, or a
-        partition check due) take the classic per-component path inside
-        the same ascending-cid commit loop.
+        become a single re-solve.  Results are committed in ascending
+        component id, so stamps, heap pushes and counters follow one
+        deterministic order.
         """
         t0 = perf_counter()
         self.solves_full += 1
@@ -1283,54 +920,24 @@ class _ComponentRegistry:
         touched = self.touched
         if len(touched) == 1 and knl is not None:
             # fast path for the steady-state stream shape: one event
-            # touched one component — no list building, no classify
+            # touched one component — no list building, no descriptor copy
             comp = touched[0]
             if comp.alive and comp.dirty and comp.live_rows:
-                thr = self.split_threshold
-                if comp.parts is None and not (
-                        thr and comp.live_rows >= _SPLIT_MIN_ROWS
-                        and comp.live_rows <= thr * comp.peak_rows):
-                    if comp.arena is None:
-                        self._arena(comp)
-                    if knl(1, comp.arena_addr, now, self._rem_addr,
-                           self._next_addr) == 0:
-                        self.solves_component += 1
-                        self.solve_rows += comp.n_rows
-                        comp.stamp += 1
-                        comp.next_t = float(self._next[0])
-                        comp.dirty = False
-                        self.push_comp(comp)
-                        self.solve_s += perf_counter() - t0
-                        return
-                self.solve(comp, now)
+                if comp.arena is None:
+                    self._arena(comp)
+                if knl(1, comp.arena_addr, now, self._rem_addr,
+                       self._next_addr) == 0:
+                    self._commit(comp, float(self._next[0]))
+                else:   # pragma: no cover - kernel scratch malloc failed
+                    self.solve(comp, now)
             self.solve_s += perf_counter() - t0
             return
         dirty = [c for c in self.touched
                  if c.alive and c.dirty and c.live_rows]
         if len(dirty) > 1:
             dirty.sort(key=_BY_CID)
-        if knl is None:
-            # numpy fallback (no compiler / REPRO_NO_C_KERNEL): the
-            # classic per-component solves, serial regardless of
-            # solver_threads — identical results either way
-            for comp in dirty:
-                self.solve(comp, now)
-            self.solve_s += perf_counter() - t0
-            return
-        thr = self.split_threshold
-        plain = [comp for comp in dirty
-                 if comp.parts is None
-                 and not (thr and comp.live_rows >= _SPLIT_MIN_ROWS
-                          and comp.live_rows <= thr * comp.peak_rows)]
-        k = len(plain)
-        ok = True
-        if k == 1:
-            comp = plain[0]
-            if comp.arena is None:
-                self._arena(comp)
-            ok = knl(1, comp.arena_addr, now, self._rem_addr,
-                     self._next_addr) == 0
-        elif k:
+        k = len(dirty)
+        if knl is not None and k:
             if 16 * k > len(self._desc):
                 cap = max(16 * k, 2 * len(self._desc))
                 self._desc = np.zeros(cap, dtype=np.int64)
@@ -1338,46 +945,33 @@ class _ComponentRegistry:
                 self._next = np.zeros(cap // 16, dtype=np.float64)
                 self._next_addr = self._next.ctypes.data
             desc = self._desc
-            for i, comp in enumerate(plain):
+            for i, comp in enumerate(dirty):
                 d = comp.arena
                 if d is None:
                     d = self._arena(comp)
                 desc[16 * i:16 * i + 16] = d
-            nthreads = self.solver_threads
-            if nthreads > 1:
-                # contiguous chunks, one GIL-free kernel call each; a
-                # descriptor is 16 int64 slots = 128 bytes, a next_out
-                # slot 8 bytes
-                pool = _solver_pool(nthreads)
-                step = -(-k // min(nthreads, k))
-                futs = [pool.submit(knl, min(step, k - s),
-                                    self._desc_addr + 128 * s, now,
-                                    self._rem_addr,
-                                    self._next_addr + 8 * s)
-                        for s in range(0, k, step)]
-                ok = all(f.result() == 0 for f in futs)
-            else:
-                ok = knl(k, self._desc_addr, now, self._rem_addr,
-                         self._next_addr) == 0
-        if not ok:      # pragma: no cover - kernel scratch malloc failed
-            for comp in dirty:
-                self.solve(comp, now)
-            self.solve_s += perf_counter() - t0
-            return
-        nxt = self._next
-        j = 0
-        for comp in dirty:          # ascending-cid commit
-            if j < k and comp is plain[j]:
-                self.solves_component += 1
-                self.solve_rows += comp.n_rows
-                comp.stamp += 1
-                comp.next_t = float(nxt[j])
-                comp.dirty = False
-                self.push_comp(comp)
-                j += 1
-            else:
-                self.solve(comp, now)
+            if knl(k, self._desc_addr, now, self._rem_addr,
+                   self._next_addr) == 0:
+                nxt = self._next
+                for j, comp in enumerate(dirty):  # ascending-cid commit
+                    self._commit(comp, float(nxt[j]))
+                self.solve_s += perf_counter() - t0
+                return
+        # numpy fallback (no compiler / REPRO_NO_C_KERNEL, or the
+        # kernel's scratch allocation failed): per-component solves
+        for comp in dirty:
+            self.solve(comp, now)
         self.solve_s += perf_counter() - t0
+
+    def _commit(self, comp: _Component, next_t: float) -> None:
+        """Book a kernel solve: the kernel already wrote the component's
+        rates and projections; ``next_t`` is its earliest projection."""
+        self.solves_component += 1
+        self.solve_rows += comp.n_rows
+        comp.stamp += 1
+        comp.next_t = next_t
+        comp.dirty = False
+        self.push_comp(comp)
 
 
 class _TaskBookkeeping:
@@ -1512,42 +1106,18 @@ class FluidSimulator:
         an event touched (default).  ``lazy=False`` re-solves every live
         component at every flow-set change — byte-identical traces, kept
         as the full-solve equivalence oracle.
-    local_index:
-        Give each component a compact local link numbering so its solves
-        see an O(component links) capacity array instead of the whole
-        platform's (default).  Bitwise-neutral; the toggle exists for
-        A/B benchmarking and debugging.
-    split_threshold:
-        Re-partition a component by link connectivity when its live-pair
-        count drops to this fraction of its high-water mark (default
-        0.5).  ``None`` disables dynamic splits (merge-only components,
-        the pre-split behaviour).  Bitwise-neutral by construction.
-    solver_threads:
-        Solve independent dirty components concurrently over a
-        persistent thread pool through the GIL-free batch kernel.
-        Default ``None`` reads ``REPRO_SOLVER_THREADS`` (itself
-        defaulting to 1, the serial path).  Byte-identical for every
-        value: components are disjoint subproblems and results commit
-        in ascending component id (see
-        :meth:`_ComponentRegistry.resolve`).
     """
 
     def __init__(self, schedule: Schedule, *,
                  collect_flow_traces: bool = False,
                  use_bundling: bool = True,
-                 lazy: bool = True,
-                 local_index: bool = True,
-                 split_threshold: float | None = 0.5,
-                 solver_threads: int | None = None) -> None:
+                 lazy: bool = True) -> None:
         self.schedule = schedule
         self.graph: TaskGraph = schedule.graph
         self.cluster: Cluster = schedule.cluster
         self.collect_flow_traces = collect_flow_traces
         self.use_bundling = use_bundling
         self.lazy = lazy
-        self.local_index = local_index
-        self.split_threshold = split_threshold
-        self.solver_threads = _resolve_solver_threads(solver_threads)
 
     # ------------------------------------------------------------------ #
     def _build_flows(self):
@@ -1643,11 +1213,8 @@ class FluidSimulator:
         size = fl["size"]
         pair_of = fl["pair_of"]
 
-        reg = _ComponentRegistry(
-            capacities, fl["pair_routes"], fl["pair_cap"],
-            lazy=self.lazy, local_index=self.local_index,
-            split_threshold=self.split_threshold,
-            solver_threads=self.solver_threads)
+        reg = _ComponentRegistry(capacities, fl["pair_routes"],
+                                 fl["pair_cap"], lazy=self.lazy)
         reg.bind(size.copy(), np.maximum(size * _REL_BYTES_EPS, 1e-12))
 
         # ---------------- event loop ---------------- #
@@ -1709,7 +1276,6 @@ class FluidSimulator:
             maxmin_solves=reg.solves_component,
             solves_full=reg.solves_full,
             solves_component=reg.solves_component,
-            splits=reg.splits,
             solve_rows=reg.solve_rows,
             solve_s=reg.solve_s,
             event_s=loop_s - reg.solve_s,

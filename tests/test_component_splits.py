@@ -1,42 +1,23 @@
-"""Dynamic component splits (PR 7): equivalence + drain regression.
+"""Component engine vs full-solve oracle on random draws.
 
-The split machinery re-partitions a component by live link connectivity
-once it drains below ``split_threshold × peak_rows``.  Two promises:
-
-* **bitwise neutrality** — splits (and the local link index they ride
-  on) change which *rows* each progressive-filling pass sees, never the
-  arithmetic each row experiences: part solves gather rows in entry
-  order and each part's links are untouched by the other parts, so the
-  default engine must equal both the merge-only engine
-  (``split_threshold=None, local_index=False``) and the full-solve
-  oracle (``lazy=False``) to the last bit;
-* **work reduction** — on a drain-heavy workload (one fat scatter fans
-  into disjoint chains) the default engine must actually split
-  (``splits > 0``) and push fewer rows through the solver
-  (``solve_rows`` drops vs merge-only).
-
-The scatter workload needs ``gcd(n_src, n_dst) = 1`` fan-outs: a
-``gcd = 8`` 64→8 redistribution is block-diagonal (each destination
-hears from its own 8-source block), which fragments into eight small
-components that never reach ``_SPLIT_MIN_ROWS``.  A 64→9 band is one
-connected component, so all four scatters merge through their shared
-source uplinks into one ~300-row component — which then drains into
-four disjoint chain blocks and splits.
+This module once covered dynamic component splits.  Splits have been
+removed, so the default engine *is* the merge-only engine; the random
+draw equivalence stays under its original name: the default lazy engine
+must equal the full-solve oracle (``lazy=False``) to the last bit.  The
+pinned irregular-21 example guards same-instant completions, which must
+be delivered in ascending flow id whatever order pair-row resurrection
+leaves the component's rows in.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dag.task import Task, TaskGraph
 from repro.experiments.scenarios import Scenario
-from repro.platforms.cluster import Cluster
 from repro.platforms.grid5000 import CHTI, GRELON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
-from repro.scheduling.schedule import Schedule, ScheduleEntry
 from repro.simulation.simulator import FluidSimulator
 
 
@@ -64,81 +45,6 @@ def assert_byte_identical(a, b):
                 fb.release, fb.finish)
 
 
-def scatter_schedule(n_chains: int = 4, chain_len: int = 6,
-                     slot: int = 16, wide: int = 9,
-                     narrow: int = 5) -> Schedule:
-    """One fat root scatters into ``n_chains`` disjoint proc slots.
-
-    ``t0`` runs on every processor, so its four 64→9 redistribution
-    bands share every source uplink and merge into a single component;
-    staggered scatter sizes then drain it chain by chain.  Each chain
-    alternates a 9-proc and a 5-proc task inside its own 16-proc slot,
-    so post-split parts never talk to each other again.
-    """
-    procs_all = n_chains * slot
-    cluster = Cluster(name="scatter", num_procs=procs_all,
-                      speed_flops=1e9)
-    graph = TaskGraph(name="scatter")
-    graph.add_task(Task(name="t0", data_elements=1e6,
-                        flops=procs_all * 1e9, alpha=0.0))
-    schedule = Schedule(graph=graph, cluster=cluster)
-    d0 = 1.0
-    schedule.add(ScheduleEntry(task="t0", procs=tuple(range(procs_all)),
-                               start=0.0, finish=d0))
-    for k in range(n_chains):
-        base = k * slot
-        prev, t = "t0", d0
-        for i in range(chain_len):
-            name = f"c{k}_{i}"
-            graph.add_task(Task(name=name, data_elements=1e6,
-                                flops=2e8, alpha=0.0))
-            # staggered scatter sizes ⇒ the merged component drains a
-            # chain at a time instead of all at once
-            size = (4e6 * (1 + 2 * k)) if i == 0 else 24e6
-            graph.add_edge(prev, name, data_bytes=size)
-            procs = (tuple(range(base, base + wide)) if i % 2 == 0
-                     else tuple(range(base + wide, base + wide + narrow)))
-            schedule.add(ScheduleEntry(task=name, procs=procs,
-                                       start=t, finish=t + 0.2))
-            t += 0.2
-            prev = name
-    schedule.validate()
-    return schedule
-
-
-class TestDrainHeavyRegression:
-    def test_splits_fire_and_reduce_solve_rows(self):
-        schedule = scatter_schedule()
-        default = FluidSimulator(schedule,
-                                 collect_flow_traces=True).run()
-        merge_only = FluidSimulator(schedule, split_threshold=None,
-                                    local_index=False,
-                                    collect_flow_traces=True).run()
-        assert default.splits > 0
-        assert merge_only.splits == 0
-        # the split engine pushes strictly fewer rows through the solver
-        assert default.solve_rows < merge_only.solve_rows
-        assert_byte_identical(default, merge_only)
-
-    def test_default_equals_full_oracle(self):
-        schedule = scatter_schedule()
-        lazy = FluidSimulator(schedule, collect_flow_traces=True).run()
-        full = FluidSimulator(schedule, lazy=False,
-                              collect_flow_traces=True).run()
-        assert lazy.splits > 0
-        assert_byte_identical(lazy, full)
-        assert lazy.solves_full == full.solves_full
-
-    def test_disabling_local_index_alone_is_neutral(self):
-        """`local_index=False` with splits on: same bytes, same splits."""
-        schedule = scatter_schedule()
-        local = FluidSimulator(schedule, collect_flow_traces=True).run()
-        global_ = FluidSimulator(schedule, local_index=False,
-                                 collect_flow_traces=True).run()
-        assert local.splits == global_.splits > 0
-        assert_byte_identical(local, global_)
-
-
 class TestThreeWayEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -152,52 +58,21 @@ class TestThreeWayEquivalence:
         hierarchical=st.booleans(),
     )
     # regression: same-instant completions used to be delivered in
-    # component row order, which diverges between the split and
-    # merge-only engines once pair-row resurrection reuses rows
+    # component row order, which pair-row resurrection reshuffles
     @example(family="irregular", n_tasks=21, width=0.2, density=0.2,
              regularity=0.8, jump=2, sample=0, hierarchical=False)
     def test_split_merge_only_full_agree_on_random_draws(
             self, family, n_tasks, width, density, regularity, jump,
             sample, hierarchical):
-        """split lazy ≡ merge-only lazy ≡ full oracle, to the last bit."""
+        """Merge-only lazy (the default) ≡ full oracle, to the last bit."""
         scenario = Scenario(family=family, n_tasks=n_tasks, width=width,
                             density=density, regularity=regularity,
                             jump=jump, sample=sample)
         cluster = GRELON if hierarchical else CHTI
         schedule = _schedule_for_scenario(scenario, cluster)
-        split = FluidSimulator(schedule, collect_flow_traces=True).run()
-        merge_only = FluidSimulator(schedule, split_threshold=None,
-                                    local_index=False,
+        merge_only = FluidSimulator(schedule,
                                     collect_flow_traces=True).run()
         full = FluidSimulator(schedule, lazy=False,
                               collect_flow_traces=True).run()
-        assert_byte_identical(split, merge_only)
-        assert_byte_identical(split, full)
-        assert merge_only.splits == 0
-
-    @settings(max_examples=8, deadline=None)
-    @given(threshold=st.sampled_from([0.25, 0.5, 0.75, 0.9]),
-           n_chains=st.sampled_from([2, 3, 4]))
-    def test_threshold_sweep_is_bitwise_neutral(self, threshold,
-                                                n_chains):
-        """Any split threshold yields the same bytes on the scatter."""
-        schedule = scatter_schedule(n_chains=n_chains)
-        tuned = FluidSimulator(schedule, split_threshold=threshold,
-                               collect_flow_traces=True).run()
-        merge_only = FluidSimulator(schedule, split_threshold=None,
-                                    collect_flow_traces=True).run()
-        assert_byte_identical(tuned, merge_only)
-
-
-class TestSplitCounterSurface:
-    def test_split_counter_defaults_to_zero_when_disabled(self):
-        schedule = scatter_schedule(n_chains=2, chain_len=3)
-        res = FluidSimulator(schedule, split_threshold=None).run()
-        assert res.splits == 0
-        assert res.solve_rows > 0
-
-    def test_splits_reach_run_results(self):
-        schedule = scatter_schedule()
-        res = FluidSimulator(schedule).run()
-        assert res.splits > 0
-        assert res.solve_rows > 0
+        assert_byte_identical(merge_only, full)
+        assert merge_only.solves_full == full.solves_full

@@ -20,17 +20,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.dag.task import Task, TaskGraph
 from repro.experiments.bench import (
     dense_dag_schedule,
     sparse_multicluster_schedule,
 )
 from repro.experiments.scenarios import Scenario
+from repro.platforms.cluster import Cluster
 from repro.platforms.grid5000 import CHTI, GRELON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
+from repro.scheduling.schedule import Schedule, ScheduleEntry
 from repro.simulation.simulator import FluidSimulator
 
 
@@ -89,6 +92,11 @@ class TestEngineEquivalence:
         sample=st.integers(0, 3),
         hierarchical=st.booleans(),
     )
+    # regression: same-instant completions used to be delivered in
+    # component row order, which pair-row resurrection reshuffles; they
+    # must arrive in ascending flow id
+    @example(family="irregular", n_tasks=21, width=0.2, density=0.2,
+             regularity=0.8, jump=2, sample=0, hierarchical=False)
     def test_lazy_full_reference_agree_on_random_draws(
             self, family, n_tasks, width, density, regularity, jump,
             sample, hierarchical):
@@ -118,6 +126,58 @@ class TestEngineEquivalence:
             lazy, full, ref = _run_all_engines(schedule)
             assert_byte_identical(lazy, full)
             assert_traces_close(lazy, ref)
+
+
+def scatter_schedule(n_chains: int = 4, chain_len: int = 6,
+                     slot: int = 16, wide: int = 9,
+                     narrow: int = 5) -> Schedule:
+    """One fat root scatters into ``n_chains`` disjoint proc slots.
+
+    ``t0`` runs on every processor, so its four 64→9 redistribution
+    bands share every source uplink and merge into a single ~300-row
+    component (a ``gcd = 1`` band is one connected block, unlike a
+    block-diagonal 64→8 one); staggered scatter sizes then drain it chain
+    by chain.  Each chain alternates a 9-proc and a 5-proc task inside
+    its own 16-proc slot, so the drained chains never talk to each other
+    again.
+    """
+    procs_all = n_chains * slot
+    cluster = Cluster(name="scatter", num_procs=procs_all,
+                      speed_flops=1e9)
+    graph = TaskGraph(name="scatter")
+    graph.add_task(Task(name="t0", data_elements=1e6,
+                        flops=procs_all * 1e9, alpha=0.0))
+    schedule = Schedule(graph=graph, cluster=cluster)
+    d0 = 1.0
+    schedule.add(ScheduleEntry(task="t0", procs=tuple(range(procs_all)),
+                               start=0.0, finish=d0))
+    for k in range(n_chains):
+        base = k * slot
+        prev, t = "t0", d0
+        for i in range(chain_len):
+            name = f"c{k}_{i}"
+            graph.add_task(Task(name=name, data_elements=1e6,
+                                flops=2e8, alpha=0.0))
+            size = (4e6 * (1 + 2 * k)) if i == 0 else 24e6
+            graph.add_edge(prev, name, data_bytes=size)
+            procs = (tuple(range(base, base + wide)) if i % 2 == 0
+                     else tuple(range(base + wide, base + wide + narrow)))
+            schedule.add(ScheduleEntry(task=name, procs=procs,
+                                       start=t, finish=t + 0.2))
+            t += 0.2
+            prev = name
+    schedule.validate()
+    return schedule
+
+
+class TestDrainHeavyScatter:
+    def test_default_equals_full_oracle(self):
+        """A merged component draining into disjoint blocks."""
+        schedule = scatter_schedule()
+        lazy = FluidSimulator(schedule, collect_flow_traces=True).run()
+        full = FluidSimulator(schedule, lazy=False,
+                              collect_flow_traces=True).run()
+        assert_byte_identical(lazy, full)
 
 
 class TestDegenerateSingleComponent:

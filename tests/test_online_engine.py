@@ -1,6 +1,7 @@
 """Online simulator: batch equivalence, determinism, admission."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -190,6 +191,21 @@ class TestEngineGuards:
         eng.advance_until(10.0)
         with pytest.raises(ValueError, match="rewind"):
             eng.advance_until(5.0)
+        # non-finite times would spin an idle engine at now=inf forever
+        sim = OnlineSimulator(GRILLON)
+        sched = _batch_schedule()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                eng.advance_until(bad)
+            with pytest.raises(ValueError, match="cannot inject"):
+                eng.inject("late", sched, bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                sim.advance_until(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                sim.submit(JobArrival("late", bad, DENSE, HCPA))
+        assert eng.now == 10.0 and not eng.jobs
+        assert sim.engine.now == 0.0 and sim.records() == []
+        assert sim.submit(JobArrival("late", 1.0, DENSE, HCPA))
 
     def test_advance_returns_newly_finalised_records(self):
         sim = OnlineSimulator(GRILLON)

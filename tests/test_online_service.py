@@ -33,12 +33,15 @@ class _Server:
 
 
 def _raw_session(host, port, payloads):
-    """Send raw JSON lines; return one parsed reply line per payload."""
+    """Send JSON lines (``bytes`` payloads go out verbatim); return one
+    parsed reply line per payload."""
     replies = []
     with socket.create_connection((host, port), timeout=30) as sock:
         rfile = sock.makefile("r", encoding="utf-8")
         for payload in payloads:
-            sock.sendall(json.dumps(payload).encode() + b"\n")
+            line = (payload if isinstance(payload, bytes)
+                    else json.dumps(payload).encode())
+            sock.sendall(line + b"\n")
             replies.append(json.loads(rfile.readline()))
     return replies
 
@@ -94,6 +97,9 @@ class TestProtocol:
             {"op": "nonsense"},
             {"op": "submit"},                      # missing workload
             "not an object",
+            b'{"op": "advance", "t": 1e999}',      # overflows to inf
+            b'{"op": "submit", "workload": {"family": "strassen"}, '
+            b'"t": NaN}',
         ])
         assert replies[0]["type"] == "stats"
         assert replies[0]["in_flight"] == 0
@@ -104,6 +110,11 @@ class TestProtocol:
         assert replies[4]["type"] == "error"
         assert "workload" in replies[4]["error"]
         assert replies[5]["type"] == "error"
+        # non-finite times are refused instead of wedging the event loop
+        assert replies[6]["type"] == "error"
+        assert "non-finite" in replies[6]["error"]
+        assert replies[7]["type"] == "error"
+        assert "finite" in replies[7]["error"]
         # a protocol error never kills the session: drain still works
         acks, records, metrics = submit_jobs(
             server.host, server.port, [], drain=True, shutdown=True)
@@ -125,6 +136,26 @@ class TestProtocol:
             assert first["type"] == "record"       # record precedes...
             assert first["record"]["completion"] > 0
             assert second["type"] == "drained"     # ...the terminal reply
+            sock.sendall(b'{"op": "shutdown"}\n')
+            assert json.loads(rfile.readline())["type"] == "bye"
+        assert server.join()
+
+    def test_duplicate_job_id_keeps_first_submitters_record(self):
+        server = _Server(OnlineSimulator(GRILLON))
+        job = {"op": "submit", "workload": STRASSEN, "t": 0.0, "job_id": "x"}
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            rfile = sock.makefile("r", encoding="utf-8")
+            sock.sendall(json.dumps(job).encode() + b"\n")
+            assert json.loads(rfile.readline())["type"] == "ack"
+            # a second connection re-sends the same id and is refused
+            [dup] = _raw_session(server.host, server.port, [job])
+            assert dup["type"] == "error" and "duplicate" in dup["error"]
+            sock.sendall(b'{"op": "drain"}\n')
+            first = json.loads(rfile.readline())
+            assert first["type"] == "record"
+            assert first["record"]["job_id"] == "x"
+            assert json.loads(rfile.readline())["type"] == "drained"
             sock.sendall(b'{"op": "shutdown"}\n')
             assert json.loads(rfile.readline())["type"] == "bye"
         assert server.join()

@@ -1,31 +1,22 @@
-"""Parity suite for the batched kernel and solver threads (PR 10).
+"""Parity suite for the batched kernel.
 
-The live-path tentpole promises **bitwise identity** across every speed
-knob: the batched ``repro_waterfill_batch`` crossing, the compiled sweep,
-the cached per-component arenas, and ``solver_threads=N`` must all replay
-the serial reference byte-for-byte.  The argument: per-component outputs
-are disjoint slices of pre-grown arrays (no allocation, no sharing), and
-results are committed in ascending component id whatever thread produced
-them — so the only thing threads can change is wall-clock.  These tests
-pin that argument against random scenario draws (exercising splits,
-resurrection and merges through the same schedules the split suite uses)
-and against a live engine with mid-flight injection, plus the numpy
-fallback under ``REPRO_NO_C_KERNEL=1``.
+The live-path hot loop promises **bitwise identity**: the batched
+``repro_waterfill_batch`` crossing, the compiled sweep and the cached
+per-component arenas must replay the per-component numpy solves
+byte-for-byte.  These tests pin that against a live engine with
+mid-flight injection (checked against the full-solve oracle) and against
+the numpy fallback under ``REPRO_NO_C_KERNEL=1``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.experiments.scenarios import Scenario
-from repro.platforms.grid5000 import CHTI, GRELON
+from repro.platforms.grid5000 import CHTI
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
-from repro.simulation.simulator import (FluidSimulator,
-                                        _resolve_solver_threads)
+from repro.simulation.simulator import FluidSimulator
 
 
 def _schedule_for_scenario(scenario: Scenario, cluster):
@@ -47,51 +38,9 @@ def assert_byte_identical(a, b):
     assert a.flow_traces == b.flow_traces
 
 
-_scenarios = st.builds(
-    Scenario,
-    family=st.sampled_from(["layered", "irregular"]),
-    n_tasks=st.sampled_from([8, 12, 16]),
-    width=st.sampled_from([0.2, 0.5]),
-    density=st.sampled_from([0.2, 0.8]),
-    regularity=st.sampled_from([0.2, 0.8]),
-    jump=st.sampled_from([1, 2]),
-    sample=st.integers(0, 3),
-)
-
-
-class TestThreadedBatchParity:
-    """solver_threads=4 ≡ solver_threads=1 ≡ full oracle, to the bit."""
-
-    @settings(max_examples=12, deadline=None)
-    @given(scenario=_scenarios, hierarchical=st.booleans())
-    def test_threads_equal_serial_and_oracle(self, scenario, hierarchical):
-        cluster = GRELON if hierarchical else CHTI
-        schedule = _schedule_for_scenario(scenario, cluster)
-        serial = FluidSimulator(schedule, solver_threads=1,
-                                collect_flow_traces=True).run()
-        threaded = FluidSimulator(schedule, solver_threads=4,
-                                  collect_flow_traces=True).run()
-        oracle = FluidSimulator(schedule, lazy=False,
-                                collect_flow_traces=True).run()
-        assert_byte_identical(threaded, serial)
-        assert_byte_identical(threaded, oracle)
-
-    def test_threads_equal_serial_on_split_heavy_draw(self):
-        """A draw known to split, resurrect and merge (regression pin)."""
-        scenario = Scenario(family="layered", n_tasks=16, width=0.2,
-                            density=0.8, regularity=0.2, jump=1, sample=1)
-        schedule = _schedule_for_scenario(scenario, CHTI)
-        serial = FluidSimulator(schedule, collect_flow_traces=True).run()
-        threaded = FluidSimulator(schedule, solver_threads=4,
-                                  collect_flow_traces=True).run()
-        assert_byte_identical(threaded, serial)
-        merge_only = FluidSimulator(schedule, solver_threads=4,
-                                    split_threshold=None, local_index=False,
-                                    collect_flow_traces=True).run()
-        assert_byte_identical(threaded, merge_only)
-
+class TestBatchParity:
     def test_live_engine_midflight_injection(self):
-        """Threaded live engine ≡ serial under staggered injection.
+        """Default live engine ≡ ``lazy=False`` under staggered injection.
 
         Jobs inject while earlier flows are still in flight, so arenas
         are invalidated mid-stream, pairs resurrect, and components
@@ -112,34 +61,25 @@ class TestThreadedBatchParity:
             eng.drain()
             return eng
 
-        serial = drive()
-        threaded = drive(solver_threads=4)
-        assert threaded.events == serial.events
-        assert threaded.makespan() == serial.makespan()
-        assert threaded.traces == serial.traces
-        assert threaded.flow_traces == serial.flow_traces
-
-    def test_online_simulator_forwards_solver_threads(self):
-        from repro.online.engine import OnlineSimulator
-        from repro.platforms.cluster import Cluster
-
-        sim = OnlineSimulator(Cluster(name="c", num_procs=4,
-                                      speed_flops=1e9),
-                              solver_threads=3)
-        assert sim.engine.solver_threads == 3
+        lazy = drive()
+        full = drive(lazy=False)
+        assert lazy.events == full.events
+        assert lazy.makespan() == full.makespan()
+        assert lazy.traces == full.traces
+        assert lazy.flow_traces == full.flow_traces
 
 
 class TestNumpyFallbackParity:
-    """REPRO_NO_C_KERNEL=1 forces the numpy path — even with threads."""
+    """REPRO_NO_C_KERNEL=1 forces the numpy path."""
 
-    def test_kill_switch_is_bitwise_neutral_with_threads(self, monkeypatch):
+    def test_kill_switch_is_bitwise_neutral(self, monkeypatch):
         scenario = Scenario(family="layered", n_tasks=12, width=0.5,
                             density=0.8, regularity=0.8, sample=0)
         schedule = _schedule_for_scenario(scenario, CHTI)
-        with_kernel = FluidSimulator(schedule, solver_threads=4,
+        with_kernel = FluidSimulator(schedule,
                                      collect_flow_traces=True).run()
         monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
-        numpy_path = FluidSimulator(schedule, solver_threads=4,
+        numpy_path = FluidSimulator(schedule,
                                     collect_flow_traces=True).run()
         assert_byte_identical(numpy_path, with_kernel)
 
@@ -147,28 +87,9 @@ class TestNumpyFallbackParity:
         from repro.simulation.simulator import _ComponentRegistry
 
         monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
-        reg = _ComponentRegistry(np.array([1.0]), [(0,)], [np.inf],
-                                 solver_threads=4)
+        reg = _ComponentRegistry(np.array([1.0]), [(0,)], [np.inf])
         assert reg._batch_knl is None
         assert reg._sweep_knl is None
-
-
-class TestSolverThreadsKnob:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_THREADS", raising=False)
-        assert _resolve_solver_threads(None) == 1
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_THREADS", "4")
-        assert _resolve_solver_threads(None) == 4
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_THREADS", "4")
-        assert _resolve_solver_threads(2) == 2
-
-    def test_floor_is_one(self):
-        assert _resolve_solver_threads(0) == 1
-        assert _resolve_solver_threads(-3) == 1
 
 
 class TestPhaseAttribution:

@@ -7,7 +7,7 @@ draw random DAGs, platforms (single- and multi-cluster) and residual
 ``proc_release`` seedings and assert exactly that, alongside unit tests
 for the :class:`~repro.scheduling.avail.AvailabilityIndex`, the batched
 pricer's bitwise parity (numpy and C kernel), and the online engine's
-warm-index / pipelined modes.
+warm availability index.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ class TestBatchPricing:
 
 
 # --------------------------------------------------------------------- #
-# online engine: warm index and pipelining stay byte-identical
+# online engine: the warm index stays byte-identical
 # --------------------------------------------------------------------- #
 class TestOnlineFastpath:
     def _stream(self, n_jobs=25, adaptive=False):
@@ -342,26 +342,17 @@ class TestOnlineFastpath:
             for k in range(6)), name="on-mc")
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_warm_index_and_pipeline_byte_identical(self, adaptive):
+    def test_warm_index_byte_identical(self, adaptive):
         from repro.online.engine import OnlineSimulator
 
         plat = self._platform()
         ref = OnlineSimulator(plat, avail_index=False,
                               vector_price=False).run(
             self._stream(adaptive=adaptive))
-        for kw in ({}, {"pipeline": True}):
-            res = OnlineSimulator(plat, **kw).run(
-                self._stream(adaptive=adaptive))
-            assert res.records == ref.records
-            assert res.makespan == ref.makespan
-            assert res.events == ref.events
-
-    def test_pipeline_requires_accept_all(self):
-        from repro.online.engine import OnlineSimulator
-
-        with pytest.raises(ValueError, match="accept-all"):
-            OnlineSimulator(self._platform(), admission="queue-cap:2",
-                            pipeline=True)
+        res = OnlineSimulator(plat).run(self._stream(adaptive=adaptive))
+        assert res.records == ref.records
+        assert res.makespan == ref.makespan
+        assert res.events == ref.events
 
     def test_result_reports_time_attribution(self):
         from repro.online.engine import OnlineSimulator
