@@ -18,6 +18,13 @@ operations the batch loop never needed:
 * :meth:`advance_until` — run the event loop up to a target time and
   stop, so arrivals can interleave with in-flight events.
 
+Flows live and die per redistribution edge, as in batch: an injected
+edge becomes one contiguous flow-id range, its producer's completion
+pushes one release entry per distinct release instant, a released group
+joins its component in one step when it revives drained rows of one
+component (the steady state of a stream that reuses processor sets),
+and each event's completions reach the task bookkeeping in one call.
+
 Equivalence contract
 --------------------
 Because the component machinery is shared code (not a transplant), a
@@ -39,13 +46,16 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.redistribution.matrix import redistribution_flows
 from repro.scheduling.schedule import Schedule
 from repro.simulation.simulator import (
     _REL_BYTES_EPS,
     _TIME_EPS,
     _ComponentRegistry,
+    _edge_counts,
     _grow,
+    _PairTable,
+    _push_release,
+    _StagedFlows,
 )
 from repro.simulation.trace import FlowTrace, TaskTrace
 
@@ -94,11 +104,8 @@ class LiveFluidEngine:
         self.lazy = lazy
         self.collect_flow_traces = collect_flow_traces
 
-        # ---- pair tables (shared across jobs, keyed by (src, dst)) ---- #
-        self.pair_index: dict[tuple[int, int], int] = {}
-        self.pair_routes: list[tuple[int, ...]] = []
-        self.pair_cap: list[float] = []
-        self.pair_lat: list[float] = []
+        # ---- pair table (shared across jobs, keyed by (src, dst)) ---- #
+        self.pairs = _PairTable(self.topo)
 
         # ---- global flow arrays (amortised append) ---- #
         self.nf = 0
@@ -108,14 +115,14 @@ class LiveFluidEngine:
         self.lat = np.empty(8, dtype=float)
         self.src = np.empty(8, dtype=np.intp)
         self.dst = np.empty(8, dtype=np.intp)
-        self.edge_of = np.empty(8, dtype=np.intp)
         self.pair_of = np.empty(8, dtype=np.intp)
         self.release_time = np.empty(8, dtype=float)
+        self.edge_of: list[int] = []
 
         # ---- shared component machinery (same class as batch) ---- #
-        self.reg = _ComponentRegistry(self.capacities, self.pair_routes,
-                                      self.pair_cap, lazy=lazy)
-        self.reg.bind(self.remaining, self.done_threshold)
+        self.reg = _ComponentRegistry(self.capacities, self.pairs.routes,
+                                      self.pairs.cap, lazy=lazy)
+        self.reg.bind(self.remaining, self.done_threshold, self.pair_of)
 
         # ---- task bookkeeping (dict-based _TaskBookkeeping) ---- #
         self.edges: list[tuple[str, str]] = []   # global (namespaced) names
@@ -127,13 +134,13 @@ class LiveFluidEngine:
         self.queue_pos: dict[int, int] = {}
         self.preds_left: dict[str, int] = {}
         self.flows_left: dict[str, int] = {}
-        self.edge_flows: dict[int, list[int]] = {}
-        self.out_edge_ids: dict[str, list[int]] = {}
+        self.out_ranges: dict[str, list[tuple[int, int]]] = {}
         self.started: set[str] = set()
         self.done_tasks: set[str] = set()
         self.task_start: dict[str, float] = {}
         self.finish_heap: list[tuple[float, str]] = []
-        self.release_heap: list[tuple[float, int]] = []
+        # (time, first flow id, flow ids): see _push_release
+        self.release_heap: list[tuple[float, int, np.ndarray]] = []
         self.traces: dict[str, TaskTrace] = {}
         self.flow_traces: list[FlowTrace] = []
         self.check_ready: set[str] = set()
@@ -177,7 +184,11 @@ class LiveFluidEngine:
         """Add a scheduled job's tasks and flows at virtual time ``at``.
 
         ``at`` must be finite and must not precede the current virtual
-        time; ready source tasks start immediately at ``at``.
+        time; ready source tasks start immediately at ``at``.  Every
+        processor id is checked against the platform, and every edge is
+        expanded into locals, before the job's tasks and flows are
+        recorded: a rejected job leaves nothing behind that could stall
+        later ones.
         """
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
@@ -186,89 +197,74 @@ class LiveFluidEngine:
                 f"cannot inject {job_id!r} at t={at} (now={self.now})")
         graph = schedule.graph
         names = graph.task_names()
+        entries = [schedule[n] for n in names]
+        n_procs = self.cluster.num_procs
+        for e in entries:
+            for p in e.procs:
+                if not 0 <= p < n_procs:
+                    raise ValueError(
+                        f"{job_id!r}: task {e.task!r} on processor {p}, "
+                        f"outside the platform's {n_procs}")
         gname = {n: f"{job_id}/{n}" for n in names}
 
-        for n in names:
+        # expand every edge into staged locals, in the batch _build_flows
+        # order, with pair ids resolved against the shared pair table
+        staged = _StagedFlows()
+        new_edges = [
+            (gname[u], gname[v], *self.pairs.expand_edge(
+                schedule[u].procs, schedule[v].procs, data, staged))
+            for u, v, data in graph.edges()]
+        self.reg.comp_of_pair.extend(
+            [-1] * (len(self.pairs.routes) - len(self.reg.comp_of_pair)))
+
+        # ---- commit ---- #
+        for n, e in zip(names, entries):
             g = gname[n]
-            self.exec_time[g] = schedule[n].duration
-            self.procs_of[g] = schedule[n].procs
+            self.exec_time[g] = e.duration
+            self.procs_of[g] = e.procs
             self.preds_left[g] = len(graph.predecessors(n))
             self.flows_left[g] = 0
             self.succs[g] = [gname[s] for s in graph.successors(n)]
-            self.out_edge_ids[g] = []
+            self.out_ranges[g] = []
             self.job_of_task[g] = job_id
-        for p, entries in schedule.proc_timeline().items():
+        for p, timeline in schedule.proc_timeline().items():
             self.proc_queue.setdefault(p, []).extend(
-                gname[e.task] for e in entries)
+                gname[e.task] for e in timeline)
             self.queue_pos.setdefault(p, 0)
 
-        # expand edges into flows, in the batch _build_flows order, with
-        # pair ids resolved against the shared cross-job pair table
-        new_src: list[int] = []
-        new_dst: list[int] = []
-        new_size: list[float] = []
-        new_eid: list[int] = []
-        new_pid: list[int] = []
-        for u, v, data in graph.edges():
-            eid = len(self.edges)
-            self.edges.append((gname[u], gname[v]))
-            self.out_edge_ids[gname[u]].append(eid)
-            specs = redistribution_flows(schedule[u].procs, schedule[v].procs,
-                                         data)
-            for s in specs:
-                if s.data_bytes <= 0:
-                    continue
-                pid = self.pair_index.get((s.src, s.dst))
-                if pid is None:
-                    pid = len(self.pair_routes)
-                    self.pair_index[(s.src, s.dst)] = pid
-                    route = self.topo.route(s.src, s.dst)
-                    self.pair_cap.append(route.rate_cap_Bps)
-                    self.pair_lat.append(route.latency_s)
-                    self.pair_routes.append(
-                        self.topo.route_indices(s.src, s.dst))
-                    self.reg.comp_of_pair.append(-1)
-                new_src.append(s.src)
-                new_dst.append(s.dst)
-                new_size.append(s.data_bytes)
-                new_eid.append(eid)
-                new_pid.append(pid)
-
-        n_new = len(new_size)
         base = self.nf
-        need = base + n_new
+        need = base + len(staged.size)
+        for gu, gv, lo, hi in new_edges:
+            if hi > lo:
+                self.edge_of.extend([len(self.edges)] * (hi - lo))
+                self.out_ranges[gu].append((base + lo, base + hi))
+                self.flows_left[gv] += hi - lo
+            self.edges.append((gu, gv))
         self.size = _grow(self.size, need)
         self.remaining = _grow(self.remaining, need)
         self.done_threshold = _grow(self.done_threshold, need)
+        self.pair_of = _grow(self.pair_of, need)
         # growth may reallocate: re-bind the registry's views (and the
         # kernel-side raw addresses cached alongside them)
-        self.reg.bind(self.remaining, self.done_threshold)
+        self.reg.bind(self.remaining, self.done_threshold, self.pair_of)
         self.lat = _grow(self.lat, need)
         self.src = _grow(self.src, need)
         self.dst = _grow(self.dst, need)
-        self.edge_of = _grow(self.edge_of, need)
-        self.pair_of = _grow(self.pair_of, need)
         self.release_time = _grow(self.release_time, need)
-        if n_new:
-            sizes = np.array(new_size, dtype=float)
+        if need > base:
+            sizes = np.array(staged.size, dtype=float)
             self.size[base:need] = sizes
             self.remaining[base:need] = sizes
             self.done_threshold[base:need] = np.maximum(
                 sizes * _REL_BYTES_EPS, 1e-12)
-            pid_arr = np.array(new_pid, dtype=np.intp)
             # index the pair-latency list per new flow — materialising the
             # whole pair table here would be O(total pairs) per inject
-            pl = self.pair_lat
-            self.lat[base:need] = [pl[p] for p in new_pid]
-            self.src[base:need] = new_src
-            self.dst[base:need] = new_dst
-            self.edge_of[base:need] = new_eid
-            self.pair_of[base:need] = pid_arr
+            pl = self.pairs.lat
+            self.lat[base:need] = [pl[p] for p in staged.pid]
+            self.src[base:need] = staged.src
+            self.dst[base:need] = staged.dst
+            self.pair_of[base:need] = staged.pid
             self.release_time[base:need] = np.inf
-            for off, eid in enumerate(new_eid):
-                fid = base + off
-                self.edge_flows.setdefault(eid, []).append(fid)
-                self.flows_left[self.edges[eid][1]] += 1
         self.nf = need
 
         self.total += len(names)
@@ -318,24 +314,27 @@ class LiveFluidEngine:
         for succ in self.succs[name]:
             self.preds_left[succ] -= 1
             self.check_ready.add(succ)
-        for eid in self.out_edge_ids[name]:
-            for fid in self.edge_flows.get(eid, ()):  # release after latency
-                t_rel = now + self.lat[fid]
-                self.release_time[fid] = t_rel
-                heapq.heappush(self.release_heap, (t_rel, fid))
+        for lo, hi in self.out_ranges[name]:
+            _push_release(self.release_heap, self.release_time, self.lat,
+                          lo, hi, now)
 
-    def _complete_flow(self, fid: int, now: float) -> None:
-        eid = int(self.edge_of[fid])
-        self.flows_left[self.edges[eid][1]] -= 1
-        self.check_ready.add(self.edges[eid][1])
+    def _complete_flows(self, fids: list[int], now: float) -> None:
+        """Flows ``fids`` (ascending) completed at ``now``."""
+        edges = self.edges
+        edge_of = self.edge_of
+        for eid, n in _edge_counts(fids, edge_of):
+            consumer = edges[eid][1]
+            self.flows_left[consumer] -= n
+            self.check_ready.add(consumer)
         if self.collect_flow_traces:
-            self.flow_traces.append(FlowTrace(
-                edge=self.edges[eid],
-                src=int(self.src[fid]),
-                dst=int(self.dst[fid]),
-                data_bytes=float(self.size[fid]),
-                release=float(self.release_time[fid]),
-                finish=now))
+            for fid in fids:
+                self.flow_traces.append(FlowTrace(
+                    edge=edges[edge_of[fid]],
+                    src=int(self.src[fid]),
+                    dst=int(self.dst[fid]),
+                    data_bytes=float(self.size[fid]),
+                    release=float(self.release_time[fid]),
+                    finish=now))
 
     def _start_ready(self, now: float) -> None:
         for name in self.check_ready:
@@ -367,18 +366,17 @@ class LiveFluidEngine:
         reg.begin_event()
 
         # 1) flow completions (component sweep + local flows)
-        set_changed = reg.sweep(now, self._complete_flow)
+        set_changed = reg.sweep(now, self._complete_flows)
 
         # 2) task completions
         while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
             _, name = heapq.heappop(finish_heap)
             self._finish_task(name, now)
 
-        # 3) flow releases
+        # 3) flow releases, one edge group at a time
         while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-            _, fid = heapq.heappop(release_heap)
+            reg.release_edge(heapq.heappop(release_heap)[2], now)
             set_changed = True
-            reg.release(int(fid), int(self.pair_of[fid]), now)
 
         # 4) newly startable tasks
         self._start_ready(now)

@@ -26,6 +26,7 @@ pointed at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
@@ -52,6 +53,10 @@ class JobArrival:
     spec: AlgorithmSpec
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(
+                f"job {self.job_id!r}: non-finite arrival time "
+                f"{self.arrival_time}")
         if self.arrival_time < 0:
             raise ValueError(
                 f"job {self.job_id!r}: negative arrival time "
@@ -68,6 +73,19 @@ class JobStream(Protocol):
     """
 
     def __iter__(self) -> Iterator[JobArrival]: ...
+
+
+def _check_param(name: str, value: float, *, zero_ok: bool = False) -> float:
+    """``value`` as a float, which must be finite and > 0 (>= 0 if
+    ``zero_ok``): a NaN passes plain ``<= 0`` checks and would spin the
+    arrival generators forever."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0 or (value == 0 and not zero_ok):
+        raise ValueError(
+            f"{name} must be {'>= 0' if zero_ok else '> 0'}, got {value}")
+    return value
 
 
 def _cycle_jobs(index: int, scenarios: Sequence[Scenario],
@@ -128,11 +146,10 @@ class PoissonStream(_GeneratedStream):
                  scenarios: Sequence[Scenario],
                  spec: AlgorithmSpec | Sequence[AlgorithmSpec],
                  seed: object = 0) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
+        rate = _check_param("rate", rate)
         super().__init__(n_jobs=n_jobs, scenarios=scenarios, spec=spec,
                          seed=seed)
-        self.rate = float(rate)
+        self.rate = rate
 
     def _arrival_times(self) -> Iterator[float]:
         rng = self._rng()
@@ -162,18 +179,16 @@ class BurstStream(_GeneratedStream):
                  spec: AlgorithmSpec | Sequence[AlgorithmSpec],
                  rate_off: float = 0.0, mean_on: float = 1.0,
                  mean_off: float = 1.0, seed: object = 0) -> None:
-        if rate_on <= 0:
-            raise ValueError("rate_on must be > 0")
-        if rate_off < 0:
-            raise ValueError("rate_off must be >= 0")
-        if mean_on <= 0 or mean_off <= 0:
-            raise ValueError("phase durations must be > 0")
+        rate_on = _check_param("rate_on", rate_on)
+        rate_off = _check_param("rate_off", rate_off, zero_ok=True)
+        mean_on = _check_param("phase durations (mean_on)", mean_on)
+        mean_off = _check_param("phase durations (mean_off)", mean_off)
         super().__init__(n_jobs=n_jobs, scenarios=scenarios, spec=spec,
                          seed=seed)
-        self.rate_on = float(rate_on)
-        self.rate_off = float(rate_off)
-        self.mean_on = float(mean_on)
-        self.mean_off = float(mean_off)
+        self.rate_on = rate_on
+        self.rate_off = rate_off
+        self.mean_on = mean_on
+        self.mean_off = mean_off
 
     def _arrival_times(self) -> Iterator[float]:
         rng = self._rng()

@@ -49,6 +49,22 @@ The default engine additionally maintains the active pairs as
 * each component numbers its links locally, so its solves see a
   capacity array of O(component links) instead of the whole platform's.
 
+The unit of the flow lifecycle is the redistribution **edge**, not the
+flow (``docs/performance.md``, "Edge-batched flow lifecycle"):
+
+* an edge is expanded once (:meth:`_PairTable.expand_edge`) into a
+  contiguous flow-id range, straight from the memoised
+  communication-matrix triples;
+* when its producer finishes, the edge's release instants are computed
+  in one vector op and pushed as one heap entry per distinct instant
+  (:func:`_push_release`) — grouped entries pop in exactly the
+  ``(time, flow id)`` order per-flow entries would;
+* a popped group joins its component in one step when it only revives or
+  piles onto rows of one component
+  (:meth:`_ComponentRegistry.release_edge`), and flow by flow otherwise;
+* each event's completions reach the engine through one callback, in
+  ascending flow id, and consumers' missing-flow counts drop per edge.
+
 ``lazy=False`` runs the same component machinery but re-solves every live
 component at every flow-set change; since the extra solves see identical
 inputs they produce identical rates, which makes the two modes
@@ -72,7 +88,7 @@ import numpy as np
 from repro.dag.task import TaskGraph
 from repro.network.maxmin import dsu_find, waterfill_bundled
 from repro.platforms.cluster import Cluster
-from repro.redistribution.matrix import redistribution_flows
+from repro.redistribution.matrix import _comm_matrix_entries
 from repro.scheduling.schedule import Schedule
 from repro.simulation.trace import FlowTrace, TaskTrace
 
@@ -202,6 +218,109 @@ def _grow(arr: np.ndarray, need: int) -> np.ndarray:
     new = np.empty(max(need, 2 * cap, 8), dtype=arr.dtype)
     new[:cap] = arr
     return new
+
+
+class _StagedFlows:
+    """Per-flow columns appended by :meth:`_PairTable.expand_edge`."""
+
+    __slots__ = ("src", "dst", "size", "pid")
+
+    def __init__(self) -> None:
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.size: list[float] = []
+        self.pid: list[int] = []
+
+
+class _PairTable:
+    """The (src, dst) node pairs flows run between, and edge expansion.
+
+    Route lookups run once per distinct pair, not per flow: flows carry
+    a pair id, and the pair's link indices, rate cap and latency are
+    stored once — the basis of the bundled Max-Min solves.
+    """
+
+    def __init__(self, topo) -> None:
+        self.topo = topo
+        self.index: dict[tuple[int, int], int] = {}
+        self.routes: list[tuple[int, ...]] = []
+        self.cap: list[float] = []
+        self.lat: list[float] = []
+
+    def expand_edge(self, src_procs, dst_procs, data: float,
+                    out: _StagedFlows) -> tuple[int, int]:
+        """Append the flows of one block redistribution of ``data`` bytes
+        from ``src_procs`` to ``dst_procs`` (ordered sets) to ``out``;
+        returns their index range ``[lo, hi)``.
+
+        Iterates the memoised communication-matrix triples directly and
+        drops self-communications and zero-byte entries, exactly as
+        :func:`~repro.redistribution.matrix.redistribution_flows` does.
+        """
+        if not src_procs or not dst_procs:
+            raise ValueError("processor sets must be non-empty")
+        if data < 0:
+            raise ValueError("m must be >= 0")
+        get_pid = self.index.get
+        add_src, add_dst = out.src.append, out.dst.append
+        add_size, add_pid = out.size.append, out.pid.append
+        lo = len(out.size)
+        for i, j, amount in _comm_matrix_entries(data, len(src_procs),
+                                                 len(dst_procs)):
+            src, dst = src_procs[i], dst_procs[j]
+            if src == dst or amount <= 0:
+                continue
+            pid = get_pid((src, dst))
+            if pid is None:
+                pid = self.index[(src, dst)] = len(self.routes)
+                route = self.topo.route(src, dst)
+                self.cap.append(route.rate_cap_Bps)
+                self.lat.append(route.latency_s)
+                self.routes.append(self.topo.route_indices(src, dst))
+            add_src(src)
+            add_dst(dst)
+            add_size(amount)
+            add_pid(pid)
+        return lo, len(out.size)
+
+
+def _edge_counts(fids: list[int], edge_of: list[int]):
+    """``(edge id, flow count)`` of completed flows ``fids`` (ascending).
+
+    An edge's flows are one contiguous fid range, so when the first and
+    the last fid share an edge, every fid does — the common case of one
+    component's completions."""
+    first = edge_of[fids[0]]
+    if first == edge_of[fids[-1]]:
+        return ((first, len(fids)),)
+    counts: dict[int, int] = {}
+    for fid in fids:
+        eid = edge_of[fid]
+        counts[eid] = counts.get(eid, 0) + 1
+    return counts.items()
+
+
+def _push_release(heap: list, release_time: np.ndarray, lat: np.ndarray,
+                  lo: int, hi: int, now: float) -> None:
+    """Schedule the flows ``[lo, hi)`` of one edge whose producer finished
+    at ``now``: each is released one route latency later.
+
+    One heap entry ``(t, first fid, fids)`` per distinct instant ``t``.
+    An edge's flows are one contiguous fid range, so these groups (fids
+    ascending inside each) pop in exactly the ``(t, fid)`` order of
+    per-flow entries — also when one edge has two instants or two edges
+    share one.
+    """
+    t = now + lat[lo:hi]
+    release_time[lo:hi] = t
+    instants = t.tolist()
+    first = instants[0]
+    if instants.count(first) == len(instants):
+        heapq.heappush(heap, (first, lo, np.arange(lo, hi)))
+        return
+    for instant in sorted(set(instants)):
+        fids = np.flatnonzero(t == instant) + lo
+        heapq.heappush(heap, (instant, int(fids[0]), fids))
 
 
 class _Component:
@@ -345,16 +464,38 @@ class _Component:
             a[9] = n + 1               # only the slot count changed
         self.live_flows += 1
 
+    def add_flows(self, fids: np.ndarray, rows: np.ndarray) -> None:
+        """:meth:`add_flow` for a whole release group, as one slice."""
+        n = self.n_flows
+        end = n + len(fids)
+        if end > len(self.flow_fid):
+            self.flow_fid = _grow(self.flow_fid, end)
+            self.flow_row = _grow(self.flow_row, end)
+            self.flow_rates = _grow(self.flow_rates, end)
+            self.proj = _grow(self.proj, end)
+            self.arena = None          # buffer addresses changed
+        self.flow_fid[n:end] = fids
+        self.flow_row[n:end] = rows
+        self.flow_rates[n:end] = 0.0
+        self.proj[n:end] = math.inf
+        self.n_flows = end
+        a = self.arena
+        if a is not None:
+            a[9] = end
+        self.live_flows += end - n
+
     # ------------------------------------------------------------------ #
     def compact_flows(self, remaining: np.ndarray) -> None:
         """Drop completed-flow slots (remaining == inf marks them dead)."""
-        n = self.n_flows
-        keep = np.isfinite(remaining[self.flow_fid[:n]])
-        kept = int(keep.sum())
-        self.flow_fid[:kept] = self.flow_fid[:n][keep]
-        self.flow_row[:kept] = self.flow_row[:n][keep]
-        self.flow_rates[:kept] = self.flow_rates[:n][keep]
-        self.proj[:kept] = self.proj[:n][keep]
+        kept = 0
+        if self.live_flows:            # a drained component keeps none
+            n = self.n_flows
+            keep = np.isfinite(remaining[self.flow_fid[:n]])
+            kept = int(keep.sum())
+            self.flow_fid[:kept] = self.flow_fid[:n][keep]
+            self.flow_row[:kept] = self.flow_row[:n][keep]
+            self.flow_rates[:kept] = self.flow_rates[:n][keep]
+            self.proj[:kept] = self.proj[:n][keep]
         self.n_flows = kept
         a = self.arena
         if a is not None:
@@ -406,15 +547,16 @@ class _ComponentRegistry:
     Owns the union-find over component ids, per-link ownership, the
     component event heap and the local (route-less) flow pseudo-heap, and
     performs the event-loop phases that touch components: the completion
-    sweep (:meth:`sweep`), flow releases (:meth:`release`) and the
+    sweep (:meth:`sweep`), edge releases (:meth:`release_edge`) and the
     re-solve (:meth:`resolve`).  The batch :class:`FluidSimulator` and
     the online :class:`~repro.online.live.LiveFluidEngine` both drive
     this one implementation, so the two engines cannot drift apart.
 
-    ``remaining`` / ``done_threshold`` are *bound* by the owning engine
-    (and re-bound after amortised growth): the registry always reads the
-    arrays the engine currently owns.  ``pair_routes`` / ``pair_cap`` are
-    held by reference too — the live engine appends to them on inject.
+    ``remaining`` / ``done_threshold`` / ``pair_of`` are *bound* by the
+    owning engine (and re-bound after amortised growth): the registry
+    always reads the arrays the engine currently owns.  ``pair_routes`` /
+    ``pair_cap`` are held by reference too — the live engine appends to
+    them on inject.
     """
 
     def __init__(self, capacities: np.ndarray, pair_routes, pair_cap, *,
@@ -438,6 +580,7 @@ class _ComponentRegistry:
         self.local_heap: list[tuple[float, int]] = []
         self.remaining: np.ndarray | None = None       # bound by the engine
         self.done_threshold: np.ndarray | None = None
+        self.pair_of: np.ndarray | None = None
         self.touched: list[_Component] = []
         self.solves_full = 0
         self.solves_component = 0
@@ -480,8 +623,8 @@ class _ComponentRegistry:
             heapq.heappush(self.comp_heap,
                            (comp.next_t, comp.cid, comp.stamp))
 
-    def bind(self, remaining: np.ndarray,
-             done_threshold: np.ndarray) -> None:
+    def bind(self, remaining: np.ndarray, done_threshold: np.ndarray,
+             pair_of: np.ndarray) -> None:
         """(Re-)bind the engine-owned flow arrays.
 
         Engines must rebind through here after amortised growth: the
@@ -489,6 +632,7 @@ class _ComponentRegistry:
         reallocation invalidates the addresses alongside the views."""
         self.remaining = remaining
         self.done_threshold = done_threshold
+        self.pair_of = pair_of
         self._rem_addr = remaining.ctypes.data
         self._thr_addr = done_threshold.ctypes.data
 
@@ -630,18 +774,6 @@ class _ComponentRegistry:
         comp.dirty = True
         return comp, row
 
-    def deactivate_pair(self, pid: int, comp: _Component) -> None:
-        """Drain pair ``pid``: free its links but keep the tombstone row
-        *resurrectable* — ``pair_rows`` / ``comp_of_pair`` still point at
-        it, so a later release of the same pair revives the row in place
-        (:meth:`resurrect_pair`) instead of rebuilding CSR incidence and
-        local link index from scratch."""
-        comp.live_rows -= 1
-        for li in self.pair_routes[pid]:
-            self.link_pairs[li] -= 1
-            if self.link_pairs[li] == 0:
-                self.link_owner[li] = -1
-
     def resurrect_pair(self, pid: int, comp: _Component, row: int,
                        t: float) -> tuple[_Component, int]:
         """Re-activate a drained pair whose tombstone row still lives in
@@ -727,13 +859,14 @@ class _ComponentRegistry:
             t_next = self.local_heap[0][0]
         return t_next
 
-    def sweep(self, now: float, complete_flow) -> bool:
+    def sweep(self, now: float, complete_flows) -> bool:
         """Flow completions: pop every component whose earliest projection
         fired, materialise it, sweep its flows; then the local
         (route-less) flows.  Returns whether the flow set changed.
 
-        Completions are buffered and delivered in ascending flow id —
-        the order the per-flow reference engine uses (its active set is
+        Completions are buffered and delivered through one
+        ``complete_flows(fids, now)`` call in ascending flow id — the
+        order the per-flow reference engine uses (its active set is
         kept fid-sorted) — so the trace order of same-instant
         completions never depends on component row layout, which
         merges and pair resurrection reshuffle."""
@@ -741,6 +874,9 @@ class _ComponentRegistry:
         comp_heap = self.comp_heap
         remaining = self.remaining
         done_threshold = self.done_threshold
+        pair_routes = self.pair_routes
+        link_owner = self.link_owner
+        link_pairs = self.link_pairs
         set_changed = False
         completed: list[int] = []
         knl = self._sweep_knl
@@ -804,26 +940,30 @@ class _ComponentRegistry:
                 remaining[finished] = np.inf      # dead-slot marker
                 comp.flow_rates[:nf][done_sel] = 0.0
                 comp.proj[:nf][done_sel] = np.inf
-            # dedupe rows in first-seen order (np.unique sorts — order is
-            # irrelevant here: deactivation only decrements per-link
-            # counters, commutative across rows)
+            # Drain the pairs left with no flow: free their links but keep
+            # the tombstone rows *resurrectable* — ``pair_rows`` /
+            # ``comp_of_pair`` still point at them, so a later release of
+            # the same pair revives the row in place (resurrect_pair)
+            # instead of rebuilding CSR incidence and local link index.
+            # Rows are deduped in first-seen order (order is irrelevant:
+            # draining only decrements per-link counters).
             rows_l = rows.tolist()
-            if len(rows_l) == 1:
-                r = rows_l[0]
-                if comp.mult[r] == 0:
-                    self.deactivate_pair(int(comp.row_pair[r]), comp)
-            else:
-                for r in dict.fromkeys(rows_l):
-                    if comp.mult[r] == 0:
-                        self.deactivate_pair(int(comp.row_pair[r]), comp)
+            mult = comp.mult
+            row_pair = comp.row_pair
+            for r in rows_l if len(rows_l) == 1 else dict.fromkeys(rows_l):
+                if mult[r] == 0:
+                    comp.live_rows -= 1
+                    for li in pair_routes[row_pair[r]]:
+                        link_pairs[li] -= 1
+                        if link_pairs[li] == 0:
+                            link_owner[li] = -1
             completed.extend(finished.tolist())
             if comp.live_rows == 0:
-                # fully drained: every link was already freed by
-                # deactivate_pair.  The component stays alive as a
-                # resurrectable shell — its rows keep their local link
-                # ids, so re-releases of the same pairs skip the whole
-                # rebuild.  No heap entry (nothing can fire) and no
-                # solve needed (nothing is live).
+                # fully drained: every link was already freed above.  The
+                # component stays alive as a resurrectable shell — its
+                # rows keep their local link ids, so re-releases of the
+                # same pairs skip the whole rebuild.  No heap entry
+                # (nothing can fire) and no solve needed (nothing is live).
                 comp.compact_flows(remaining)
                 comp.stamp += 1
                 comp.next_t = math.inf
@@ -858,13 +998,79 @@ class _ComponentRegistry:
             for fid in local_done:
                 remaining[fid] = np.inf
             completed.extend(local_done)
-        for fid in sorted(completed):
-            complete_flow(fid, now)
+        if completed:
+            completed.sort()
+            complete_flows(completed, now)
         return set_changed
+
+    def release_edge(self, fids: np.ndarray, now: float) -> None:
+        """Release one edge's flows due at ``now`` (ascending ``fids``).
+
+        When the group only revives or piles onto rows of one component
+        (see :meth:`_group_target`), it joins that component in one
+        step: one materialisation, the revived rows re-claim their links,
+        every row's multiplicity goes up by one and the flows append as
+        one slice — the state the per-flow path reaches, bit for bit.
+        Any other group is released flow by flow in fid order
+        (:meth:`release`): activation and merges depend on order,
+        because row order sets the solver's float accumulation order.
+        """
+        pids = self.pair_of[fids].tolist()
+        target = self._group_target(pids)
+        if target is None:
+            for fid, pid in zip(fids.tolist(), pids):
+                self.release(fid, pid, now)
+            return
+        comp, rows, revived = target
+        self.materialize(comp, now)
+        me = comp.cid
+        link_owner = self.link_owner
+        link_pairs = self.link_pairs
+        pair_routes = self.pair_routes
+        for pid in revived:
+            for li in pair_routes[pid]:
+                link_owner[li] = me
+                link_pairs[li] += 1
+        comp.live_rows += len(revived)
+        comp.mult[rows] += 1
+        comp.add_flows(fids, rows)
+        comp.dirty = True
+        self._touch(comp)
+
+    def _group_target(self, pids: list[int]):
+        """``(component, rows, revived pair ids)`` when a release group can
+        join one component in one step, else None.
+
+        That needs every pair to have a row (live or drained) in one
+        component — route-less pairs never get one — no repeated pair
+        (``mult[rows] += 1`` would count a repeated row once), and no
+        drained pair whose link another component owns (reviving it
+        would merge that component in)."""
+        comp_of_pair = self.comp_of_pair
+        cid = comp_of_pair[pids[0]]
+        if cid == -1 or len(set(pids)) != len(pids):
+            return None
+        for pid in pids:
+            if comp_of_pair[pid] != cid:
+                return None
+        comp = self.comps[self.find(cid)]
+        pair_rows = comp.pair_rows
+        rows = np.array([pair_rows[pid] for pid in pids], dtype=np.intp)
+        drained = (comp.mult[rows] == 0).tolist()
+        revived = [pid for pid, d in zip(pids, drained) if d]
+        me = comp.cid
+        link_owner = self.link_owner
+        for pid in revived:
+            for li in self.pair_routes[pid]:
+                owner = link_owner[li]
+                if owner != -1 and owner != me and self.find(owner) != me:
+                    return None
+        return comp, rows, revived
 
     def release(self, fid: int, pid: int, now: float) -> None:
         """A released flow joins its pair's component (activating or
-        merging as needed); route-less pairs go to the local heap."""
+        merging as needed); route-less pairs go to the local heap.  The
+        per-flow fallback of :meth:`release_edge`."""
         if not self.pair_routes[pid]:
             # local pair: completes at the next event
             heapq.heappush(self.local_heap, (now, fid))
@@ -1000,23 +1206,23 @@ class _TaskBookkeeping:
         }
         self.queue_pos: dict[int, int] = {p: 0 for p in self.proc_queue}
         self.preds_left = {n: len(graph.predecessors(n)) for n in names}
-        # flows (hence bytes) still missing per consumer task
+        # flows (hence bytes) still missing per consumer task, and each
+        # producer's out-edges as flow-id ranges (released on completion)
         self.flows_left: dict[str, int] = {n: 0 for n in names}
-        for eid in fl["edge_of"]:
-            self.flows_left[self.edges[eid][1]] += 1
-        # per-edge flow ids (for release on producer completion)
-        self.edge_flows: dict[int, list[int]] = {}
-        for fid, eid in enumerate(fl["edge_of"]):
-            self.edge_flows.setdefault(int(eid), []).append(fid)
-        self.out_edge_ids: dict[str, list[int]] = {n: [] for n in names}
-        for eid, (u, _v) in enumerate(self.edges):
-            self.out_edge_ids[u].append(eid)
+        self.out_ranges: dict[str, list[tuple[int, int]]] = {
+            n: [] for n in names}
+        for (u, v), (lo, hi) in zip(self.edges, fl["edge_range"]):
+            if hi > lo:
+                self.flows_left[v] += hi - lo
+                self.out_ranges[u].append((lo, hi))
+        self.edge_of: list[int] = fl["edge_of"]
         self.release_time = np.full(len(fl["size"]), np.inf)
         self.started: set[str] = set()
         self.done: set[str] = set()
         self.task_start: dict[str, float] = {}
         self.finish_heap: list[tuple[float, str]] = []
-        self.release_heap: list[tuple[float, int]] = []  # (time, flow id)
+        # (time, first flow id, flow ids): see _push_release
+        self.release_heap: list[tuple[float, int, np.ndarray]] = []
         self.traces: dict[str, TaskTrace] = {}
         self.flow_traces: list[FlowTrace] = []
         # candidates whose readiness must be rechecked after an event
@@ -1054,24 +1260,28 @@ class _TaskBookkeeping:
             self.preds_left[succ] -= 1
             self.check_ready.add(succ)
         lat = self.fl["lat"]
-        for eid in self.out_edge_ids[name]:
-            for fid in self.edge_flows.get(eid, ()):  # release after latency
-                t_rel = now + lat[fid]
-                self.release_time[fid] = t_rel
-                heapq.heappush(self.release_heap, (t_rel, fid))
+        for lo, hi in self.out_ranges[name]:
+            _push_release(self.release_heap, self.release_time, lat,
+                          lo, hi, now)
 
-    def complete_flow(self, fid: int, now: float) -> None:
-        eid = int(self.fl["edge_of"][fid])
-        self.flows_left[self.edges[eid][1]] -= 1
-        self.check_ready.add(self.edges[eid][1])
+    def complete_flows(self, fids: list[int], now: float) -> None:
+        """Flows ``fids`` (ascending) completed at ``now``."""
+        edges = self.edges
+        edge_of = self.edge_of
+        for eid, n in _edge_counts(fids, edge_of):
+            consumer = edges[eid][1]
+            self.flows_left[consumer] -= n
+            self.check_ready.add(consumer)
         if self.collect_flow_traces:
-            self.flow_traces.append(FlowTrace(
-                edge=self.edges[eid],
-                src=int(self.fl["src"][fid]),
-                dst=int(self.fl["dst"][fid]),
-                data_bytes=float(self.fl["size"][fid]),
-                release=float(self.release_time[fid]),
-                finish=now))
+            fl = self.fl
+            for fid in fids:
+                self.flow_traces.append(FlowTrace(
+                    edge=edges[edge_of[fid]],
+                    src=int(fl["src"][fid]),
+                    dst=int(fl["dst"][fid]),
+                    data_bytes=float(fl["size"][fid]),
+                    release=float(self.release_time[fid]),
+                    finish=now))
 
     def start_ready(self, now: float) -> None:
         """Start every newly startable task, clearing the recheck set."""
@@ -1121,77 +1331,33 @@ class FluidSimulator:
 
     # ------------------------------------------------------------------ #
     def _build_flows(self):
-        """Expand every edge into flows; returns global flow arrays.
-
-        Route lookups run once per distinct (src, dst) *pair*, not per
-        flow: flows are tagged with a pair id (``pair_of``) and the pair's
-        route incidence is stored once in CSR form (``pair_links_flat`` /
-        ``pair_ptr``) — the basis of the bundled Max-Min solves.
-        """
-        graph, schedule, topo = self.graph, self.schedule, self.cluster.topology
-        srcs: list[int] = []
-        dsts: list[int] = []
-        sizes: list[float] = []
-        edge_of: list[int] = []
-        pair_of: list[int] = []
+        """Expand every edge into a contiguous flow-id range; returns the
+        global flow arrays, the pair table and each edge's range."""
+        schedule = self.schedule
+        pairs = _PairTable(self.cluster.topology)
+        staged = _StagedFlows()
         edges: list[tuple[str, str]] = []
-        edge_index: dict[tuple[str, str], int] = {}
-
-        pair_index: dict[tuple[int, int], int] = {}
-        pair_caps: list[float] = []
-        pair_lats: list[float] = []
-        pair_routes: list[tuple[int, ...]] = []
-
-        for u, v, data in graph.edges():
-            eid = len(edges)
+        edge_range: list[tuple[int, int]] = []
+        edge_of: list[int] = []
+        for u, v, data in self.graph.edges():
+            lo, hi = pairs.expand_edge(schedule[u].procs, schedule[v].procs,
+                                       data, staged)
+            edge_of.extend([len(edges)] * (hi - lo))
             edges.append((u, v))
-            edge_index[(u, v)] = eid
-            specs = redistribution_flows(schedule[u].procs, schedule[v].procs,
-                                         data)
-            for s in specs:
-                if s.data_bytes <= 0:
-                    continue
-                pid = pair_index.get((s.src, s.dst))
-                if pid is None:
-                    pid = len(pair_routes)
-                    pair_index[(s.src, s.dst)] = pid
-                    route = topo.route(s.src, s.dst)
-                    pair_caps.append(route.rate_cap_Bps)
-                    pair_lats.append(route.latency_s)
-                    pair_routes.append(topo.route_indices(s.src, s.dst))
-                srcs.append(s.src)
-                dsts.append(s.dst)
-                sizes.append(s.data_bytes)
-                edge_of.append(eid)
-                pair_of.append(pid)
+            edge_range.append((lo, hi))
 
-        pair_of_arr = np.array(pair_of, dtype=np.intp)
-        pair_lens = np.array([len(r) for r in pair_routes], dtype=np.intp)
-        pair_ptr = np.zeros(len(pair_routes) + 1, dtype=np.intp)
-        np.cumsum(pair_lens, out=pair_ptr[1:])
-        pair_links_flat = np.fromiter(
-            (li for r in pair_routes for li in r),
-            dtype=np.intp, count=int(pair_lens.sum()))
-        pair_cap_arr = np.array(pair_caps, dtype=float)
-        pair_lat_arr = np.array(pair_lats, dtype=float)
-
+        pair_of = np.array(staged.pid, dtype=np.intp)
         return {
-            "src": np.array(srcs, dtype=np.intp),
-            "dst": np.array(dsts, dtype=np.intp),
-            "size": np.array(sizes, dtype=float),
-            "cap": (pair_cap_arr[pair_of_arr] if len(srcs)
-                    else np.empty(0, dtype=float)),
-            "lat": (pair_lat_arr[pair_of_arr] if len(srcs)
-                    else np.empty(0, dtype=float)),
-            "edge_of": np.array(edge_of, dtype=np.intp),
-            "pair_of": pair_of_arr,
-            "pair_cap": pair_cap_arr,
-            "pair_lat": pair_lat_arr,
-            "pair_links_flat": pair_links_flat,
-            "pair_ptr": pair_ptr,
-            "pair_routes": pair_routes,
+            "src": np.array(staged.src, dtype=np.intp),
+            "dst": np.array(staged.dst, dtype=np.intp),
+            "size": np.array(staged.size, dtype=float),
+            "lat": np.array(pairs.lat, dtype=float)[pair_of],
+            "pair_of": pair_of,
+            "pair_cap": np.array(pairs.cap, dtype=float),
+            "pair_routes": pairs.routes,
             "edges": edges,
-            "edge_index": edge_index,
+            "edge_range": edge_range,
+            "edge_of": edge_of,
         }
 
     # ------------------------------------------------------------------ #
@@ -1211,11 +1377,10 @@ class FluidSimulator:
         tb = _TaskBookkeeping(self, fl)
 
         size = fl["size"]
-        pair_of = fl["pair_of"]
-
         reg = _ComponentRegistry(capacities, fl["pair_routes"],
                                  fl["pair_cap"], lazy=self.lazy)
-        reg.bind(size.copy(), np.maximum(size * _REL_BYTES_EPS, 1e-12))
+        reg.bind(size.copy(), np.maximum(size * _REL_BYTES_EPS, 1e-12),
+                 fl["pair_of"])
 
         # ---------------- event loop ---------------- #
         now = 0.0
@@ -1225,7 +1390,7 @@ class FluidSimulator:
         total = tb.total
         finish_heap = tb.finish_heap
         release_heap = tb.release_heap
-        complete_flow = tb.complete_flow
+        complete_flows = tb.complete_flows
         old_err = np.seterr(divide="ignore", invalid="ignore")
         t_loop = perf_counter()
         try:
@@ -1244,18 +1409,17 @@ class FluidSimulator:
                 reg.begin_event()
 
                 # 1) flow completions (component sweep + local flows)
-                set_changed = reg.sweep(now, complete_flow)
+                set_changed = reg.sweep(now, complete_flows)
 
                 # 2) task completions
                 while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
                     _, name = heapq.heappop(finish_heap)
                     tb.finish_task(name, now)
 
-                # 3) flow releases
+                # 3) flow releases, one edge group at a time
                 while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    _, fid = heapq.heappop(release_heap)
+                    reg.release_edge(heapq.heappop(release_heap)[2], now)
                     set_changed = True
-                    reg.release(int(fid), int(pair_of[fid]), now)
 
                 # 4) newly startable tasks
                 tb.start_ready(now)
@@ -1297,11 +1461,17 @@ class FluidSimulator:
         rates = np.zeros(n_flows)
         done_threshold = np.maximum(fl["size"] * _REL_BYTES_EPS, 1e-12)
 
+        # reference path: expand the per-flow (link, flow) incidence and
+        # rate caps from the pairs' routes (CSR) and caps
         pair_of = fl["pair_of"]
-        pair_ptr = fl["pair_ptr"]
-        pair_links_flat = fl["pair_links_flat"]
-
-        # reference path: expand the per-flow (link, flow) incidence
+        flow_cap = fl["pair_cap"][pair_of]
+        pair_routes = fl["pair_routes"]
+        pair_lens = np.array([len(r) for r in pair_routes], dtype=np.intp)
+        pair_ptr = np.zeros(len(pair_routes) + 1, dtype=np.intp)
+        np.cumsum(pair_lens, out=pair_ptr[1:])
+        pair_links_flat = np.fromiter(
+            (li for r in pair_routes for li in r),
+            dtype=np.intp, count=int(pair_lens.sum()))
         links_flat, _ = _csr_gather(pair_links_flat, pair_ptr, pair_of)
         links_flow = np.repeat(
             np.arange(n_flows, dtype=np.intp),
@@ -1329,7 +1499,7 @@ class FluidSimulator:
             sel = active_mask[links_flow]
             compact_flow = np.searchsorted(active_idx, links_flow[sel])
             r = _waterfill(links_flat[sel], compact_flow, len(active_idx),
-                           capacities, fl["cap"][active_idx])
+                           capacities, flow_cap[active_idx])
             rates[active_idx] = r
             etas = remaining[active_idx] / rates[active_idx]
             next_completion = now + float(etas.min())
@@ -1368,8 +1538,7 @@ class FluidSimulator:
                         active_idx = active_idx[~done_sel]
                         remaining[finished] = 0.0
                         set_changed = True
-                        for fid in finished:
-                            tb.complete_flow(int(fid), now)
+                        tb.complete_flows(finished.tolist(), now)
 
                 # 2) task completions
                 while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
@@ -1377,13 +1546,12 @@ class FluidSimulator:
                     tb.finish_task(name, now)
 
                 # 3) flow releases
-                newly_active: list[int] = []
+                newly_active: list[np.ndarray] = []
                 while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    _, fid = heapq.heappop(release_heap)
-                    newly_active.append(fid)
+                    newly_active.append(heapq.heappop(release_heap)[2])
                 if newly_active:
-                    new = np.array(newly_active, dtype=np.intp)
-                    active_idx = np.sort(np.concatenate([active_idx, new]))
+                    active_idx = np.sort(np.concatenate(
+                        [active_idx, *newly_active]))
                     set_changed = True
 
                 # 4) newly startable tasks

@@ -207,6 +207,34 @@ class TestEngineGuards:
         assert sim.engine.now == 0.0 and sim.records() == []
         assert sim.submit(JobArrival("late", 1.0, DENSE, HCPA))
 
+    def test_rejected_inject_leaves_no_state(self):
+        """A job mapped on a larger platform is rejected whole: a valid
+        job injected next runs exactly as on a fresh engine."""
+        from repro.platforms.grid5000 import CHTI
+
+        strassen = Scenario(family="strassen", sample=0, k=2)
+        bad = _batch_schedule(strassen)        # mapped on GRILLON
+        assert max(p for e in bad.entries.values()
+                   for p in e.procs) >= CHTI.num_procs
+        graph = strassen.build()
+        model = CHTI.performance_model()
+        alloc = hcpa_allocation(graph, model, CHTI.num_procs).allocation
+        good = ListScheduler(graph, CHTI, model, alloc).run()
+
+        eng = LiveFluidEngine(CHTI, collect_flow_traces=True)
+        with pytest.raises(ValueError, match="processor"):
+            eng.inject("bad", bad, 0.0)
+        assert not eng.jobs and not eng.procs_of and not eng.proc_queue
+        eng.inject("good", good, 0.0)
+        eng.drain()
+        fresh = LiveFluidEngine(CHTI, collect_flow_traces=True)
+        fresh.inject("good", good, 0.0)
+        fresh.drain()
+        assert eng.makespan() == fresh.makespan()
+        assert eng.events == fresh.events
+        assert eng.traces == fresh.traces
+        assert eng.flow_traces == fresh.flow_traces
+
     def test_advance_returns_newly_finalised_records(self):
         sim = OnlineSimulator(GRILLON)
         sim.submit(JobArrival("j0", 0.0, DENSE, HCPA))

@@ -1,5 +1,7 @@
 """Deterministic workload sources for the online mode."""
 
+import math
+
 import pytest
 
 from repro.experiments.runner import AlgorithmSpec
@@ -186,3 +188,44 @@ class TestStreamFromSpec:
         s = stream_from_spec({"jobs": 1, "workload": {
             "family": "strassen", "k": 2, "custom_knob": 7}})
         assert dict(list(s)[0].scenario.extras)["custom_knob"] == 7
+
+
+# every rate and phase-duration parameter of the generated streams
+STREAM_PARAMS = [("poisson", "rate"), ("burst", "rate_on"),
+                 ("burst", "rate_off"), ("burst", "mean_on"),
+                 ("burst", "mean_off")]
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf],
+                                     ids=["nan", "inf"])
+
+
+@NON_FINITE
+class TestNonFiniteInputsRejected:
+    """A NaN passes ``<= 0`` checks, yet would hang BurstStream's
+    generator, yield NaN Poisson arrivals or crash the engine later, so
+    every time, rate and phase mean is rejected up front."""
+
+    @pytest.mark.parametrize("kind, param", STREAM_PARAMS)
+    def test_constructors(self, kind, param, bad):
+        cls = PoissonStream if kind == "poisson" else BurstStream
+        kwargs = {"rate": 1.0} if kind == "poisson" else {"rate_on": 1.0}
+        kwargs[param] = bad
+        with pytest.raises(ValueError, match=param):
+            cls(n_jobs=3, scenarios=[SCEN], spec=SPEC, **kwargs)
+
+    @pytest.mark.parametrize("kind, param", STREAM_PARAMS)
+    def test_stream_specs(self, kind, param, bad):
+        with pytest.raises(ValueError, match=param):
+            stream_from_spec({"kind": kind, "jobs": 3, param: bad,
+                              "workload": {"family": "strassen", "k": 2}})
+
+    def test_arrival_time(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            JobArrival("a", bad, SCEN, SPEC)
+
+    def test_replay_spec_time(self, bad):
+        workload = {"family": "strassen", "k": 2}
+        with pytest.raises(ValueError, match="non-finite"):
+            stream_from_spec({"kind": "replay", "arrivals": [
+                {"t": 1.0, "workload": workload},
+                {"t": bad, "workload": workload},
+                {"t": 0.5, "workload": workload}]})

@@ -3,6 +3,9 @@ agreement with the scheduler's estimates in contention-free settings."""
 
 from __future__ import annotations
 
+import heapq
+
+import numpy as np
 import pytest
 
 from repro.core.params import NAIVE_TIMECOST
@@ -11,7 +14,7 @@ from repro.platforms.cluster import Cluster
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
 from repro.scheduling.schedule import Schedule, ScheduleEntry
-from repro.simulation.simulator import FluidSimulator, simulate
+from repro.simulation.simulator import FluidSimulator, _push_release, simulate
 
 from conftest import make_chain, make_diamond
 
@@ -204,3 +207,29 @@ class TestSimulationInvariants:
         res = simulate(schedule)
         assert res.events > 0
         assert res.maxmin_solves >= 0
+
+
+class TestEdgeReleaseOrder:
+    def test_grouped_entries_pop_in_per_flow_order(self):
+        """One heap entry per edge and release instant pops in the
+        ``(time, flow id)`` order per-flow entries would: edges with two
+        latencies release at two instants, and producers finishing 100 µs
+        apart make edges share instants."""
+        rng = np.random.default_rng(0)
+        n = 200
+        lat = rng.choice([1e-4, 2e-4], size=n)
+        cuts = sorted(rng.choice(np.arange(1, n), size=19, replace=False))
+        heap: list = []
+        release_time = np.full(n, np.inf)
+        per_flow = []
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, n])):
+            now = (0.0, 1e-4)[k % 2]
+            _push_release(heap, release_time, lat, int(lo), int(hi), now)
+            per_flow += [(now + lat[f], f) for f in range(lo, hi)]
+        per_flow.sort()
+        popped = []
+        while heap:
+            popped += heapq.heappop(heap)[2].tolist()
+        assert popped == [f for _, f in per_flow]
+        assert {f: release_time[f] for f in range(n)} \
+            == {f: t for t, f in per_flow}
