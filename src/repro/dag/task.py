@@ -13,6 +13,7 @@ communicated to *each* child equals the full ``m`` elements (§II-A), i.e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -41,6 +42,10 @@ class Task:
     alpha:
         Non-parallelizable fraction of the sequential execution time for
         the Amdahl speedup model, drawn uniformly in ``[0, 0.25]``.
+
+    ``data_elements`` and ``flops`` must be finite and ``>= 0``: a NaN or
+    infinite cost would hang redistribution pricing or stall the
+    simulator, far from its cause.
     """
 
     name: str
@@ -49,10 +54,12 @@ class Task:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.data_elements < 0:
-            raise ValueError(f"task {self.name!r}: data_elements must be >= 0")
-        if self.flops < 0:
-            raise ValueError(f"task {self.name!r}: flops must be >= 0")
+        if not 0 <= self.data_elements < math.inf:
+            raise ValueError(f"task {self.name!r}: data_elements must be "
+                             f"finite and >= 0, got {self.data_elements}")
+        if not 0 <= self.flops < math.inf:
+            raise ValueError(f"task {self.name!r}: flops must be finite "
+                             f"and >= 0, got {self.flops}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"task {self.name!r}: alpha must be in [0, 1]")
 
@@ -99,7 +106,8 @@ class TaskGraph:
 
     def add_edge(self, src: str | Task, dst: str | Task,
                  data_bytes: float | None = None) -> None:
-        """Add a dependence edge carrying ``data_bytes`` bytes.
+        """Add a dependence edge carrying ``data_bytes`` bytes (finite,
+        ``>= 0``).
 
         When ``data_bytes`` is omitted the paper's convention applies: the
         producer ships its whole dataset, i.e. ``8·m`` bytes.
@@ -113,8 +121,9 @@ class TaskGraph:
             raise ValueError(f"self-loop on task {u!r}")
         if data_bytes is None:
             data_bytes = self.task(u).data_bytes
-        if data_bytes < 0:
-            raise ValueError("edge data_bytes must be >= 0")
+        if not 0 <= data_bytes < math.inf:
+            raise ValueError(f"edge data_bytes must be finite and >= 0, "
+                             f"got {data_bytes}")
         self._g.add_edge(u, v, data_bytes=float(data_bytes))
         if not nx.is_directed_acyclic_graph(self._g):
             self._g.remove_edge(u, v)

@@ -18,6 +18,7 @@ The paper's Table I example (``m = 10``, ``p = 4 → q = 5``)::
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,14 +42,17 @@ def _comm_matrix_entries(m: float, p: int,
 
     The schedulers re-price the same ``(bytes, p, q)`` shapes many times
     per adaptation loop (and the simulator re-expands them once more), so
-    the sweep result is cached on its three scalars.  Validation lives
-    here — every pricing path goes through this function, and a negative
-    ``m`` would otherwise spin the sweep forever.
+    the sweep result is cached on its three scalars.  Pricing validation
+    lives here — every pricing path goes through this function.  A
+    negative or NaN ``m`` would otherwise spin the sweep forever, and an
+    infinite one would emit no entries (a free redistribution).
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     out: dict[tuple[int, int], float] = {}
     if m == 0:
         return ()

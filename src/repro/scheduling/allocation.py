@@ -18,6 +18,7 @@ quantities lower-bound the makespan.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -70,19 +71,32 @@ def _cpa_core(
     max_iterations: int | None = None,
     keep_trace: bool = False,
 ) -> AllocationResult:
-    """The shared CPA allocation loop.
+    """The shared CPA allocation loop, with an incremental critical path.
 
-    The loop re-evaluates bottom/top levels over the whole graph on every
-    grant, which used to dominate the allocator's cost through repeated
-    ``model.time`` calls and graph-dict traversals.  The graph structure
-    and per-task times are therefore flattened **once** into index
-    arrays; each iteration then only touches plain-float lists plus the
-    one or two ``model.time`` evaluations of the task that grew.  A
-    user-supplied ``edge_time`` callable is still re-evaluated every
-    iteration (it may read the evolving allocation); the built-in
-    allocators pass ``None``, whose zero costs stay static.  Every float
-    is produced by the same arithmetic as before, so the resulting
-    allocations (and traces) are unchanged.
+    The graph structure and per-task times are flattened **once** into
+    index arrays.  A grant to task ``b`` changes only ``b``'s time, so
+    only the bottom levels of ``b`` and its ancestors, the top levels of
+    ``b``'s descendants and ``b``'s own growth preference can move:
+
+    * **bottom levels** are swept from ``b``'s topological position down
+      to 0, recomputing only flagged tasks (``b``, then the predecessors
+      of every task whose level moved);
+    * **top levels** are swept from just after ``b`` up, starting from
+      ``b``'s successors and flagging the successors of every task whose
+      level moved;
+    * the **preference order** — the tasks sorted by (gain, time, name),
+      the key the task to grow maximises — is kept across grants; only
+      ``b`` is re-inserted, and the next task to grow is the best one in
+      that order that lies on a critical path and may still grow.
+
+    A recomputed level uses the same floats and operations as a full
+    re-walk, and a skipped one has inputs that did not change since it
+    was computed, so allocations, iteration counts and traces equal the
+    full re-walk's bit for bit.  The first iteration flags every task.
+    A user-supplied ``edge_time`` callable is re-evaluated every
+    iteration (it may read the evolving allocation), and every task is
+    then flagged again; the built-in allocators pass ``None``, whose
+    zero costs stay static.
     """
     if total_procs < 1:
         raise ValueError("total_procs must be >= 1")
@@ -100,6 +114,9 @@ def _cpa_core(
 
     # ---- one-time structure flattening ---- #
     topo = [index[n] for n in graph.topological_order()]
+    pos = [0] * n_tasks
+    for p, i in enumerate(topo):
+        pos[i] = p
     preds: list[list[int]] = [[] for _ in range(n_tasks)]
     succs: list[list[int]] = [[] for _ in range(n_tasks)]
     # edge costs aligned with the preds/succs adjacency
@@ -138,6 +155,14 @@ def _cpa_core(
         # each task can grow at most to P processors
         max_iterations = n_tasks * total_procs
 
+    # growth preference: the tasks sorted by the key the task to grow
+    # maximises — gain, then time, then name — so the best comes last.
+    # Tasks at P processors can never grow again and leave the order.
+    def pref_key(i: int) -> tuple[float, float, str, int]:
+        return (cur_time[i] - next_time[i], cur_time[i], names[i], i)
+
+    order = sorted(map(pref_key, range(n_tasks))) if total_procs > 1 else []
+
     trace: list[tuple[str, int]] = []
     iterations = 0
     cp_len = 0.0
@@ -146,50 +171,79 @@ def _cpa_core(
     bl = [0.0] * n_tasks
     tl = [0.0] * n_tasks
 
-    def can_grow(i: int) -> bool:
-        if alloc[i] >= total_procs:
-            return False
-        if level_of is not None and level_used[level_of[i]] + 1 > total_procs:
-            return False
-        return True
-
     while iterations < max_iterations:
-        if edge_time is not None and iterations:
-            # a user-supplied edge_time may read the evolving allocation
-            # (the pre-flattening loop re-evaluated it every iteration);
-            # the built-in allocators pass None and keep the static arrays
-            fill_edge_costs()
-        for i in reversed(topo):
+        if not iterations or edge_time is not None:
+            # recompute every level: on the first iteration, and on every
+            # one under a user-supplied edge_time, which may read the
+            # evolving allocation and is re-evaluated first
+            if iterations:
+                fill_edge_costs()
+            # tasks whose bottom / top level must be recomputed, their
+            # counts, and the topological positions the sweeps start
+            # from; the two sweeps keep separate flags
+            bl_flag = [True] * n_tasks
+            tl_flag = [True] * n_tasks
+            bl_todo = tl_todo = n_tasks
+            bl_from, tl_from = n_tasks - 1, 0
+        p = bl_from
+        while bl_todo:
+            i = topo[p]
+            p -= 1
+            if not bl_flag[i]:
+                continue
+            bl_flag[i] = False
+            bl_todo -= 1
             tail = 0.0
             for j, c in zip(succs[i], succ_cost[i]):
                 v = c + bl[j]
                 if v > tail:
                     tail = v
-            bl[i] = cur_time[i] + tail
-        for i in topo:
+            v = cur_time[i] + tail
+            if v != bl[i]:
+                bl[i] = v
+                for j in preds[i]:
+                    if not bl_flag[j]:
+                        bl_flag[j] = True
+                        bl_todo += 1
+        p = tl_from
+        while tl_todo:
+            i = topo[p]
+            p += 1
+            if not tl_flag[i]:
+                continue
+            tl_flag[i] = False
+            tl_todo -= 1
             top = 0.0
             for j, c in zip(preds[i], pred_cost[i]):
                 v = tl[j] + cur_time[j] + c
                 if v > top:
                     top = v
-            tl[i] = top
+            if top != tl[i]:
+                tl[i] = top
+                for j in succs[i]:
+                    if not tl_flag[j]:
+                        tl_flag[j] = True
+                        tl_todo += 1
         cp_len = max((bl[e] for e in entries), default=0.0)
         area = total_work / p_eff
         if cp_len <= area + _TOL:
             converged = True
             break
 
-        # tasks on a critical path that may still grow
+        # the best task on a critical path that may still grow: the
+        # largest execution-time reduction from one extra processor
         threshold = cp_len - _TOL * max(1.0, cp_len)
-        candidates = [i for i in range(n_tasks)
-                      if tl[i] + bl[i] >= threshold and can_grow(i)]
-        if not candidates:
+        for at in range(len(order) - 1, -1, -1):
+            i = order[at][3]
+            if tl[i] + bl[i] >= threshold and (
+                    level_of is None
+                    or level_used[level_of[i]] + 1 <= total_procs):
+                best = i
+                del order[at]
+                break
+        else:
             break
 
-        # benefit of one extra processor: largest execution-time reduction
-        best = max(candidates,
-                   key=lambda i: (cur_time[i] - next_time[i], cur_time[i],
-                                  names[i]))
         t = tasks[best]
         # model.work, not alloc·time: custom models may define work
         # independently of time (the old loop called work() too)
@@ -198,11 +252,19 @@ def _cpa_core(
         if level_of is not None:
             level_used[level_of[best]] += 1
         cur_time[best] = next_time[best]
-        next_time[best] = (model.time(t, alloc[best] + 1)
-                           if alloc[best] < total_procs else 0.0)
+        if alloc[best] < total_procs:
+            next_time[best] = model.time(t, alloc[best] + 1)
+            insort(order, pref_key(best))
         if keep_trace:
             trace.append((names[best], alloc[best]))
         iterations += 1
+        bl_flag[best] = True
+        bl_todo = 1
+        bl_from = pos[best]
+        for j in succs[best]:
+            tl_flag[j] = True
+        tl_todo = len(succs[best])
+        tl_from = pos[best] + 1
 
     return AllocationResult(
         allocation={n: alloc[i] for i, n in enumerate(names)},

@@ -859,6 +859,20 @@ class _ComponentRegistry:
             t_next = self.local_heap[0][0]
         return t_next
 
+    def _finish(self, comp: _Component,
+                done_sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complete the component's flows selected by ``done_sel`` (a mask
+        over its flow slots); returns their fids and rows.  The numpy
+        mirror of the compiled sweep's completion step."""
+        nf = comp.n_flows
+        finished = comp.flow_fid[:nf][done_sel]
+        rows = comp.flow_row[:nf][done_sel]
+        np.subtract.at(comp.mult, rows, 1)
+        self.remaining[finished] = np.inf      # dead-slot marker
+        comp.flow_rates[:nf][done_sel] = 0.0
+        comp.proj[:nf][done_sel] = np.inf
+        return finished, rows
+
     def sweep(self, now: float, complete_flows) -> bool:
         """Flow completions: pop every component whose earliest projection
         fired, materialise it, sweep its flows; then the local
@@ -904,24 +918,23 @@ class _ComponentRegistry:
                 n_done = knl(comp.arena_addr, dt, now, self._thr_addr,
                              self._rem_addr, self._fin_addr,
                              self._rows_addr, self._next_addr)
-                if n_done == 0:
+                if n_done:
+                    finished = self._fin[:n_done]
+                    rows = self._rows[:n_done]
+                else:
                     # spurious wake-up (rates dropped since the push):
                     # the kernel reprojected from materialised remaining
                     comp.stamp += 1
                     comp.next_t = float(self._next[0])
-                    self.push_comp(comp)
-                    continue
-                finished = self._fin[:n_done]
-                rows = self._rows[:n_done]
-                set_changed = True
-                comp.dirty = True
-                comp.live_flows -= n_done
+                    finished = None
             else:
                 self.materialize(comp, now)
                 nf = comp.n_flows
                 fids = comp.flow_fid[:nf]
                 done_sel = remaining[fids] <= done_threshold[fids]
-                if not done_sel.any():
+                if done_sel.any():
+                    finished, rows = self._finish(comp, done_sel)
+                else:
                     # spurious wake-up (rates dropped since the push):
                     # reproject from materialised remaining
                     comp.stamp += 1
@@ -929,17 +942,21 @@ class _ComponentRegistry:
                                             / comp.flow_rates[:nf])
                     comp.next_t = (float(comp.proj[:nf].min())
                                    if nf else math.inf)
+                    finished = None
+            if finished is None:
+                if not comp.next_t <= now:   # later, or NaN
                     self.push_comp(comp)
                     continue
-                finished = fids[done_sel]
-                set_changed = True
-                comp.dirty = True
-                comp.live_flows -= len(finished)
-                rows = comp.flow_row[:nf][done_sel]
-                np.subtract.at(comp.mult, rows, 1)
-                remaining[finished] = np.inf      # dead-slot marker
-                comp.flow_rates[:nf][done_sel] = 0.0
-                comp.proj[:nf][done_sel] = np.inf
+                # The earliest completion reprojected to this very
+                # instant: a flow's time left is below the clock's
+                # resolution (adjacent floats near t = 1e9 are 1.2e-7 s
+                # apart), so re-pushing the component would pop it again
+                # unchanged.  Complete the flows projected to now.
+                finished, rows = self._finish(
+                    comp, comp.proj[:comp.n_flows] <= now)
+            set_changed = True
+            comp.dirty = True
+            comp.live_flows -= len(finished)
             # Drain the pairs left with no flow: free their links but keep
             # the tombstone rows *resurrectable* — ``pair_rows`` /
             # ``comp_of_pair`` still point at them, so a later release of

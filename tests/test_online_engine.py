@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -250,3 +252,47 @@ class TestEngineGuards:
         sim.drain()
         assert sim.engine.idle
         assert all(r.finished for r in sim.records())
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLargeVirtualTimes:
+    """A client that stamps arrivals with Unix time sends t ≈ 1.7e9.
+
+    There adjacent floats are ~2e-7 s apart, so a flow whose time left is
+    smaller than that reprojects its completion to the current instant.
+    The sweep must complete such flows instead of re-popping the
+    component forever; JCTs stay within float resolution of t = 0's.
+    """
+
+    JOBS = (("strassen", Scenario(family="strassen", sample=0)),
+            ("layered", Scenario(family="layered", sample=0, n_tasks=25,
+                                 width=0.5, regularity=0.5, density=0.5)))
+
+    def _jcts(self, at: float, lazy: bool) -> dict[str, float]:
+        sim = OnlineSimulator(GRILLON, lazy=lazy)
+        for job_id, scenario in self.JOBS:
+            sim.submit(JobArrival(job_id, at, scenario, HCPA))
+        sim.drain()
+        return {r.job_id: r.jct for r in sim.records()}
+
+    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "full"])
+    @pytest.mark.parametrize("at", [1e9, 1.7e9])
+    def test_jobs_at_large_times_drain_like_at_zero(self, at, lazy):
+        base = self._jcts(0.0, lazy)
+        with _deadline(30):
+            late = self._jcts(at, lazy)
+        assert late == pytest.approx(base, rel=1e-6)

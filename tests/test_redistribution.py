@@ -235,10 +235,13 @@ class TestCostValidation:
     def test_cost_estimator_rejects_malformed_inputs(self):
         """The pricing fast path keeps redistribution_flows' validation.
 
-        A negative byte count would otherwise spin the memoised
-        two-pointer sweep forever, and an empty processor set divide by
-        zero — both must surface as clean ValueErrors.
+        A negative or NaN byte count would otherwise spin the memoised
+        two-pointer sweep forever, an infinite one price as free, and an
+        empty processor set divide by zero — all must surface as clean
+        ValueErrors.
         """
+        import math
+
         import pytest
 
         from repro.platforms.grid5000 import CHTI
@@ -248,5 +251,10 @@ class TestCostValidation:
         for fn in (rc.time, rc.remote_bytes):
             with pytest.raises(ValueError, match="m must be >= 0"):
                 fn((0,), (1,), -5.0)
+            with pytest.raises(ValueError, match="m must be >= 0"):
+                fn((0,), (1,), -math.inf)
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="m must be finite"):
+                    fn((0, 1), (2, 3, 4), bad)
             with pytest.raises(ValueError, match="p and q"):
                 fn((), (0, 1), 100.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.dag.task import DOUBLE_BYTES, Task, TaskGraph
@@ -21,6 +23,13 @@ class TestTask:
     def test_rejects_negative_flops(self):
         with pytest.raises(ValueError, match="flops"):
             Task("t", flops=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["data_elements", "flops"])
+    def test_rejects_non_finite_costs(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Task("t", **{field: value})
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.1])
     def test_rejects_bad_alpha(self, alpha):
@@ -80,6 +89,19 @@ class TestTaskGraphConstruction:
         g.add_task(Task("b"))
         with pytest.raises(ValueError, match=">= 0"):
             g.add_edge("a", "b", data_bytes=-1)
+
+    @pytest.mark.parametrize("data_elements, data_bytes", [
+        (1.0, math.nan), (1.0, math.inf),
+        (1e308, None),          # the default 8·m bytes overflow to inf
+    ], ids=["nan", "inf", "default-overflow"])
+    def test_non_finite_edge_weight_rejected(self, data_elements,
+                                             data_bytes):
+        g = TaskGraph()
+        g.add_task(Task("a", data_elements=data_elements))
+        g.add_task(Task("b"))
+        with pytest.raises(ValueError, match="finite"):
+            g.add_edge("a", "b", data_bytes=data_bytes)
+        assert g.num_edges == 0
 
     def test_add_edge_accepts_task_objects(self):
         g = TaskGraph()
