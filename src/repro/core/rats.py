@@ -48,13 +48,11 @@ class RATSScheduler(ListScheduler):
         proc_release=None,
         priority_edge_costs: bool = True,
         avail_index=True,
-        vector_price: bool = True,
     ) -> None:
         super().__init__(graph, cluster, model, allocation,
                          redist=redist, proc_release=proc_release,
                          priority_edge_costs=priority_edge_costs,
-                         avail_index=avail_index,
-                         vector_price=vector_price)
+                         avail_index=avail_index)
         self.params = params
         self.strategy = make_strategy(params)
         self.adaptations: list[AdaptationRecord] = []
@@ -170,9 +168,9 @@ def rats_schedule(
                     "adaptation (single cluster)")
 def _build_rats_scheduler(graph, platform, model, allocation, *,
                           params=None, redist=None, proc_release=None,
-                          avail_index=True, vector_price=True):
+                          avail_index=True):
     if params is None:
         raise ValueError("the rats scheduler needs RATSParams")
     return RATSScheduler(graph, platform, model, allocation, params,
                          redist=redist, proc_release=proc_release,
-                         avail_index=avail_index, vector_price=vector_price)
+                         avail_index=avail_index)

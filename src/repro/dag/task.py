@@ -124,10 +124,26 @@ class TaskGraph:
         if not 0 <= data_bytes < math.inf:
             raise ValueError(f"edge data_bytes must be finite and >= 0, "
                              f"got {data_bytes}")
-        self._g.add_edge(u, v, data_bytes=float(data_bytes))
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(u, v)
+        # the graph is acyclic before every insert, so u -> v closes a
+        # cycle exactly when v already reaches u (nothing new to check
+        # when the edge exists: re-adding only updates its bytes)
+        if not self._g.has_edge(u, v) and self._reaches(v, u):
             raise ValueError(f"edge {u!r}->{v!r} would create a cycle")
+        self._g.add_edge(u, v, data_bytes=float(data_bytes))
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether a directed path leads from ``start`` to ``target``."""
+        succ = self._g.succ
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt == target:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     # ------------------------------------------------------------------ #
     # accessors

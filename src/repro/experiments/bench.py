@@ -395,9 +395,8 @@ def _bench_schedule_large_platform(n_clusters: int, procs: int,
     ``proc_release`` folding between jobs — the online engine's
     scheduling loop without the fluid simulation, so the measured time
     is pure two-step scheduling.  ``indexed_speedup`` records the ratio
-    against the same loop with the availability index and the vectorised
-    pricing off (the pre-PR per-task full scans); both paths must agree
-    entry-for-entry.
+    against the same loop with the availability index off (per-task full
+    scans of every processor); both paths must agree entry-for-entry.
     """
     import numpy as np
 
@@ -439,8 +438,7 @@ def _bench_schedule_large_platform(n_clusters: int, procs: int,
             sched = MultiClusterRATSScheduler(
                 g, platform, allocations[j % len(graphs)], params,
                 redist=redist, proc_release=release,
-                avail_index=index if fast else False,
-                vector_price=fast).run()
+                avail_index=index if fast else False).run()
             for entry in sched.entries.values():
                 for p in entry.procs:
                     if entry.finish > proc_avail[p]:

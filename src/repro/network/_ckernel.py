@@ -33,7 +33,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["load_kernel", "load_indexed_kernel", "load_pricing_kernel",
+__all__ = ["load_kernel", "load_indexed_kernel",
            "load_batch_kernel", "load_sweep_kernel",
            "warm", "kernel_status"]
 
@@ -438,47 +438,6 @@ int repro_maxmin_indexed(int64_t n, int64_t n_links,
     free(scratch);
     return 0;
 }
-
-/* Masked redistribution statistics for the batched candidate pricing.
- *
- * One pass over the communication-matrix triples of one (bytes, p, q)
- * arena, mapped onto concrete processor sets: entries whose sender and
- * receiver land on the same node are self-communications and skipped
- * (paper par. II-A, they are free).  Produces per-sender-rank and
- * per-receiver-rank byte sums, the total crossing bytes and the largest
- * single amount — everything the flat-topology bottleneck formula
- * needs.
- *
- * Accumulation runs in entry order, matching both the scalar
- * FlowSpec-style loop of bottleneck_time_estimate_mapped and the
- * numpy np.bincount path (bincount adds sequentially in input order),
- * so all three produce bitwise-identical sums.  row_out / col_out are
- * caller-zeroed; stats receives [total, amt_max, n_flows].
- */
-void repro_price_masked(int64_t n,
-                        const int64_t *ii, const int64_t *jj,
-                        const double *amt,
-                        const int64_t *src, const int64_t *dst,
-                        double *row_out, double *col_out,
-                        double *stats)
-{
-    double total = 0.0, amax = 0.0;
-    int64_t flows = 0;
-    for (int64_t k = 0; k < n; k++) {
-        if (src[ii[k]] == dst[jj[k]])
-            continue;
-        double a = amt[k];
-        row_out[ii[k]] += a;
-        col_out[jj[k]] += a;
-        total += a;
-        if (a > amax)
-            amax = a;
-        flows++;
-    }
-    stats[0] = total;
-    stats[1] = amax;
-    stats[2] = (double)flows;
-}
 """
 
 
@@ -573,18 +532,6 @@ def load_indexed_kernel():
     return fn
 
 
-def load_pricing_kernel():
-    """Bind the masked pricing-statistics kernel, or ``None`` (numpy path)."""
-    lib = _load_lib()
-    if lib is None:
-        return None
-    fn = lib.repro_price_masked
-    i64, vp = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, vp, vp, vp, vp, vp, vp, vp, vp]
-    fn.restype = None
-    return fn
-
-
 def load_batch_kernel():
     """Bind the batched multi-component solver kernel, or ``None``.
 
@@ -632,7 +579,6 @@ def warm() -> dict:
     return {
         "waterfill": load_kernel() is not None,
         "maxmin_indexed": load_indexed_kernel() is not None,
-        "price_masked": load_pricing_kernel() is not None,
         "waterfill_batch": load_batch_kernel() is not None,
         "sweep_comp": load_sweep_kernel() is not None,
         "status": kernel_status,

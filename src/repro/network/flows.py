@@ -45,10 +45,10 @@ def bottleneck_time_estimate(flows: list[FlowSpec], cluster: Cluster) -> float:
     ``bytes / rate_cap``, so the estimate is the max of the link bottleneck
     and the slowest individual flow.
 
-    This is a thin wrapper over :func:`bottleneck_time_estimate_mapped`,
-    which the schedulers' pricing layer calls directly with the memoised
-    communication-matrix triples (no :class:`FlowSpec` objects on the hot
-    path).
+    This is a thin wrapper over :func:`bottleneck_time_estimate_mapped`.
+    The schedulers price through :class:`~repro.redistribution.pricing.
+    RoutePricer` instead, which computes the same estimate bit for bit in
+    one pass per route class pair; this per-flow form is its test oracle.
     """
     return bottleneck_time_estimate_mapped(
         None, None, [(f.src, f.dst, f.data_bytes) for f in flows], cluster)
@@ -65,12 +65,10 @@ def bottleneck_time_estimate_mapped(
     ``entries`` are communication-matrix triples
     (:func:`repro.redistribution.matrix._comm_matrix_entries`); ``i`` /
     ``j`` index ``src_procs`` / ``dst_procs``, or are concrete node ids
-    when the sequences are ``None``.  This runs once per distinct
-    (processor sets, bytes) key of every mapping probe, so the per-flow
-    work is one fused ``pair_summary`` cache hit (integer link indices,
-    latency, cap) plus integer-keyed accumulation; per-link byte sums
-    accumulate in flow order, exactly as the original FlowSpec loop did,
-    so the estimates are unchanged to the last bit.
+    when the sequences are ``None``.  Each flow resolves its route through
+    one fused ``pair_summary`` cache hit (integer link indices, latency,
+    cap); per-link byte sums accumulate in flow order, exactly as the
+    original FlowSpec loop did.
     """
     topo = cluster.topology
     pair_summary = topo.pair_summary

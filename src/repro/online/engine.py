@@ -108,8 +108,6 @@ class OnlineSimulator:
         it to the clamped residual view instead of re-sorting 24k
         processors from scratch; schedules are byte-identical either
         way.  ``False`` hands every job the reference scan path.
-    vector_price:
-        Forwarded to the schedulers' batched candidate pricing knob.
     """
 
     def __init__(self, platform, *,
@@ -117,12 +115,10 @@ class OnlineSimulator:
                  slo: float | None = None,
                  lazy: bool = True,
                  collect_flow_traces: bool = False,
-                 avail_index: bool = True,
-                 vector_price: bool = True) -> None:
+                 avail_index: bool = True) -> None:
         self.platform = platform
         self.admission = admission_from_spec(admission)
         self.slo = slo
-        self.vector_price = vector_price
         self._avail_index = (AvailabilityIndex.for_platform(platform)
                              if avail_index else None)
         self.engine = LiveFluidEngine(platform, lazy=lazy,
@@ -185,12 +181,12 @@ class OnlineSimulator:
             scheduler = schedulers.build(
                 f"{prefix}rats", graph, platform, model, allocation,
                 params=params, redist=redist, proc_release=release,
-                avail_index=avail_index, vector_price=self.vector_price)
+                avail_index=avail_index)
         else:
             scheduler = schedulers.build(
                 f"{prefix}list", graph, platform, model, allocation,
                 redist=redist, proc_release=release,
-                avail_index=avail_index, vector_price=self.vector_price)
+                avail_index=avail_index)
         schedule = scheduler.run()
         self.sched_s += time.perf_counter() - t0
         return schedule

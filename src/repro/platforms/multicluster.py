@@ -61,7 +61,7 @@ class MultiClusterTopology(RouteCacheMixin):
             self.capacities[("wan_up", k)] = platform.wan_bandwidth_Bps
             self.capacities[("wan_down", k)] = platform.wan_bandwidth_Bps
 
-        self._init_route_caches()
+        self._init_route_caches(platform.num_procs)
 
     # ------------------------------------------------------------------ #
     def route(self, src: int, dst: int) -> Route:
@@ -106,6 +106,12 @@ class MultiClusterTopology(RouteCacheMixin):
             route = Route(tuple(links), latency, cap)
         self._route_cache[key] = route
         return route
+
+    def route_class(self, proc: int) -> tuple[int, int]:
+        k, local = self.platform.locate(proc)
+        cluster = self.platform.clusters[k]
+        return (k, cluster.cabinet_of(local) if cluster.is_hierarchical
+                else -1)
 
     def effective_bandwidth(self, src: int, dst: int) -> float:
         r = self.route(src, dst)

@@ -72,7 +72,9 @@ class RouteCacheMixin:
 
     capacities: dict[LinkId, float]
 
-    def _init_route_caches(self) -> None:
+    def _init_route_caches(self, num_procs: int) -> None:
+        self.num_procs = num_procs
+        self._route_class_ids: list[int] | None = None
         # stable integer indexing of links for the vectorised solvers
         self.link_ids: list[LinkId] = list(self.capacities)
         self.link_index: dict[LinkId, int] = {
@@ -132,10 +134,33 @@ class RouteCacheMixin:
             self._pair_summary_cache[key] = hit
         return hit
 
+    def route_class_ids(self) -> list[int]:
+        """Per-processor index into the distinct :meth:`route_class`
+        values (first-seen order), built once per topology."""
+        if self._route_class_ids is None:
+            ids: dict[tuple[int, int], int] = {}
+            self._route_class_ids = [
+                ids.setdefault(self.route_class(p), len(ids))
+                for p in range(self.num_procs)]
+        return self._route_class_ids
+
     def link_capacity(self, link: LinkId) -> float:
         return self.capacities[link]
 
     def route(self, src: int, dst: int) -> Route:  # pragma: no cover
+        raise NotImplementedError
+
+    def route_class(self, proc: int) -> tuple[int, int]:  # pragma: no cover
+        """``(cluster index, cabinet or -1)`` of processor ``proc``.
+
+        For ``s != d`` every route is ``s``'s own up link, then middle
+        links fixed by the pair ``(route_class(s), route_class(d))``, then
+        ``d``'s own down link.  The latency, the rate cap and every link
+        capacity depend only on that class pair (the NIC capacities only
+        on the processor's class), which is what lets the pricer
+        (:mod:`repro.redistribution.pricing`) cost a redistribution from
+        one route per class pair.
+        """
         raise NotImplementedError
 
 
@@ -154,7 +179,7 @@ class Topology(RouteCacheMixin):
             for c in range(cluster.cabinets):
                 self.capacities[("cab_up", c)] = bw
                 self.capacities[("cab_down", c)] = bw
-        self._init_route_caches()
+        self._init_route_caches(cluster.num_procs)
 
     def route(self, src: int, dst: int) -> Route:
         """Route of a flow from node ``src`` to node ``dst``.
@@ -188,6 +213,13 @@ class Topology(RouteCacheMixin):
             route = Route(tuple(links), latency, cap)
         self._route_cache[key] = route
         return route
+
+    def route_class(self, proc: int) -> tuple[int, int]:
+        cluster = self.cluster
+        if not 0 <= proc < cluster.num_procs:
+            raise ValueError(f"processor out of range: {proc}")
+        return (0, cluster.cabinet_of(proc) if cluster.is_hierarchical
+                else -1)
 
     def effective_bandwidth(self, src: int, dst: int) -> float:
         """Bandwidth of an isolated ``src → dst`` flow."""

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.network.flows import FlowSpec, bottleneck_time_estimate_mapped
+from repro.network.flows import FlowSpec
 from repro.platforms.cluster import Cluster
-from repro.redistribution.matrix import _comm_matrix_entries, redistribution_flows
+from repro.redistribution.matrix import redistribution_flows
+from repro.redistribution.pricing import RoutePricer
 
 __all__ = ["RedistributionCost"]
 
@@ -24,23 +25,22 @@ __all__ = ["RedistributionCost"]
 class RedistributionCost:
     """Estimator bound to one cluster.
 
-    Every product — the expanded flow list, the time estimate and the
-    remote byte count — is memoised on the ordered-set key
-    ``(src_procs, dst_procs, data_bytes)``: list scheduling probes the
-    same predecessor/candidate pairs repeatedly, and RATS re-prices the
-    same (pred set, candidate set, bytes) triples many times per
-    adaptation loop.
+    The time estimate and the remote byte count are computed together by
+    the exact single-pass pricer (:class:`~repro.redistribution.pricing.
+    RoutePricer`) and memoised on the ordered-set key ``(src_procs,
+    dst_procs, data_bytes)``: list scheduling probes the same
+    predecessor/candidate pairs repeatedly, and RATS re-prices the same
+    (pred set, candidate set, bytes) triples many times per adaptation
+    loop.  A processor set holding a processor twice, or an id outside
+    the platform, raises ``ValueError`` (also for zero bytes).
     """
-
-    _PRICER_UNSET = object()
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         _Key = tuple[tuple[int, ...], tuple[int, ...], float]
-        self._time_cache: dict[_Key, float] = {}
-        self._bytes_cache: dict[_Key, float] = {}
+        self._cache: dict[_Key, tuple[float, float]] = {}
         self._flow_cache: dict[_Key, tuple[FlowSpec, ...]] = {}
-        self._pricer = RedistributionCost._PRICER_UNSET
+        self._pricer = RoutePricer(cluster)
 
     def _flows_cached(self, key) -> tuple[FlowSpec, ...]:
         hit = self._flow_cache.get(key)
@@ -55,79 +55,32 @@ class RedistributionCost:
         return list(self._flows_cached(
             (tuple(src_procs), tuple(dst_procs), data_bytes)))
 
+    def _priced(self, src_procs: Sequence[int], dst_procs: Sequence[int],
+                data_bytes: float) -> tuple[float, float]:
+        key = (tuple(src_procs), tuple(dst_procs), data_bytes)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = self._pricer.price(*key)
+        return hit
+
     def time(self, src_procs: Sequence[int], dst_procs: Sequence[int],
              data_bytes: float) -> float:
-        """Estimated duration; 0 for identical ordered sets or no data.
-
-        Works from the memoised communication-matrix triples directly —
-        the pricing hot path never materialises :class:`FlowSpec`
-        objects (the amounts are accumulated in the same order, so the
-        estimates match the flow-expanded computation bit for bit).
-        """
-        if data_bytes == 0:
-            return 0.0
-        key = (tuple(src_procs), tuple(dst_procs), data_bytes)
-        hit = self._time_cache.get(key)
-        if hit is not None:
-            return hit
-        entries = _comm_matrix_entries(data_bytes, len(key[0]), len(key[1]))
-        t = bottleneck_time_estimate_mapped(key[0], key[1], entries,
-                                            self.cluster)
-        self._time_cache[key] = t
-        return t
+        """Estimated duration; 0 for identical ordered sets or no data."""
+        return self._priced(src_procs, dst_procs, data_bytes)[0]
 
     def remote_bytes(self, src_procs: Sequence[int], dst_procs: Sequence[int],
                      data_bytes: float) -> float:
         """Bytes that actually cross the network (excludes self-comm)."""
-        if data_bytes == 0:
-            return 0.0
-        key = (tuple(src_procs), tuple(dst_procs), data_bytes)
-        hit = self._bytes_cache.get(key)
-        if hit is None:
-            src, dst = key[0], key[1]
-            hit = sum(amount
-                      for i, j, amount in _comm_matrix_entries(
-                          data_bytes, len(src), len(dst))
-                      if src[i] != dst[j])
-            self._bytes_cache[key] = hit
-        return hit
+        return self._priced(src_procs, dst_procs, data_bytes)[1]
 
     def price_batch(self, src_procs: Sequence[int],
                     dst_list: Sequence[Sequence[int]],
                     data_bytes: float) -> tuple[list[float], list[float]]:
-        """Time and remote bytes for *all* candidate receiver sets at once.
-
-        The vectorised :class:`~repro.redistribution.pricing.BatchPricer`
-        computes every uncached candidate from one shared statistics pass
-        over the memoised communication-matrix triples; its results are
-        bitwise identical to :meth:`time` / :meth:`remote_bytes` and land
-        in the same memo caches (so later scalar probes of the same keys
-        are hits).  Unsupported shapes — hierarchical topologies,
-        cluster-spanning sets — transparently keep the scalar path,
-        per candidate.
-        """
-        src = tuple(src_procs)
-        dsts = [tuple(d) for d in dst_list]
-        if data_bytes != 0 and dsts:
-            pricer = self._pricer
-            if pricer is RedistributionCost._PRICER_UNSET:
-                from repro.redistribution.pricing import BatchPricer
-
-                pricer = self._pricer = BatchPricer.for_cluster(self.cluster)
-            if pricer is not None:
-                miss = [d for d in dsts
-                        if (src, d, data_bytes) not in self._time_cache]
-                if miss:
-                    priced = pricer.price(src, miss, data_bytes)
-                    if priced is not None:
-                        for d, result in zip(miss, priced):
-                            if result is not None:
-                                key = (src, d, data_bytes)
-                                self._time_cache[key] = result[0]
-                                self._bytes_cache[key] = result[1]
-        times = [self.time(src, d, data_bytes) for d in dsts]
-        remotes = [self.remote_bytes(src, d, data_bytes) for d in dsts]
-        return times, remotes
+        """:meth:`time` and :meth:`remote_bytes` of every candidate
+        receiver set, in order (a loop over the same memoised pricer)."""
+        priced = [self._priced(src_procs, dst, data_bytes)
+                  for dst in dst_list]
+        return [t for t, _ in priced], [r for _, r in priced]
 
     def average_edge_time(self, data_bytes: float) -> float:
         """Platform-level a-priori estimate of an edge's communication time.

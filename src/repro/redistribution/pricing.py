@@ -1,235 +1,194 @@
-"""Vectorised candidate pricing for the mapping step.
+"""One exact redistribution pricer for every topology (§II-A, §IV-D).
 
-List/RATS mapping prices every candidate placement of a ready task by
-expanding the edge's communication matrix onto processors and charging
-the bottleneck link (:func:`repro.network.flows.
-bottleneck_time_estimate_mapped`).  The scalar path walks the
-``(i, j, amount)`` triples once per candidate in Python — on a
-128-cluster platform that is 128 full walks per predecessor edge of
-every ready task.
+The mapping step prices every candidate placement by the contention-free
+cost of its incoming redistributions: the busiest link's bytes over its
+capacity, or the slowest flow under its TCP rate cap if that is longer,
+plus the longest route latency
+(:func:`repro.network.flows.bottleneck_time_estimate_mapped`, kept as
+the oracle).  That estimator resolves a route per (src, dst) pair and
+sums bytes per link through a dict.  This pricer gets the same number
+from one pass over the communication-matrix triples, on every topology
+in the tree, because routes decompose by *route class*.
 
-On *flat* topologies (no cabinet hierarchy) the walk collapses to a
-closed form.  A candidate set never spans clusters, so every flow of one
-(src set → candidate) pair crosses the same link classes:
+**Route classes.**  Each processor has a class, ``(cluster index,
+cabinet or -1)`` (:meth:`~repro.platforms.topology.RouteCacheMixin.
+route_class`).  For ``s != d`` the route is ``up(s)``, then middle links
+fixed by ``(class(s), class(d))`` (cabinet uplinks, the WAN star), then
+``down(d)``; latency, rate cap and every link capacity depend on the
+class pair only, and NIC capacities on the processor's class only.  So
+one ``pair_summary`` of a representative pair prices a whole class pair:
+about 50 routes on ``grid5000-grid``, instead of one per priced pair.
 
-* ``nic_up(src_i)`` carries rank ``i``'s row sum,
-* ``nic_down(dst_j)`` carries rank ``j``'s column sum,
-* the WAN up/down pair (inter-cluster only) carries the total,
-* per-flow latency and the TCP rate cap are constants of the
-  (src cluster, dst cluster) pair.
+**One pass, in entry order.**  Over the triples, skipping
+self-communications: per-sender-rank sums (the ``up`` links — a set holds
+each processor once, so rank and link coincide), per-receiver-rank sums
+(``down`` links), per-middle-link sums, the crossing total (the remote
+bytes), and per class pair the largest amount.  Then::
 
-:class:`BatchPricer` therefore prices all candidates of a task from
-**one** set of per-arena statistics — row/column sums, ordered total,
-largest amount — computed with ``np.bincount`` / ``np.cumsum`` (both
-accumulate sequentially in entry order, exactly like the scalar loop, so
-every estimate is **bitwise identical** to the reference path; the
-regular pairwise-summing ``np.sum`` would not be).  Candidates disjoint
-from the source set share one statistics pass outright; overlapping
-candidates (same cluster as the producer) re-run it under the
-self-communication mask, optionally through the ``repro_price_masked``
-C kernel (:mod:`repro.network._ckernel`, ``REPRO_NO_C_KERNEL``
-honoured, bitwise parity with the numpy path).
+    time = max(max over links of bytes / capacity,
+               max over class pairs of largest amount / rate cap)
+           + max latency over the class pairs present
 
-Hierarchical (cabinet) clusters route flows position-dependently, so
-they are detected in :meth:`BatchPricer.for_cluster` and keep the scalar
-path — the golden grid5000 campaigns are untouched by construction.
+and 0 when nothing crosses.  Every link's sum accumulates in entry order,
+exactly as the reference's per-link dict does, and ``max`` of floats is
+exact — as is ``max(x) / c == max(x / c)`` for a positive ``c``, since
+correctly rounded division is monotone — so the result equals the
+reference bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Sequence
-
-import numpy as np
-
-from repro.network._ckernel import load_pricing_kernel
 from repro.redistribution.matrix import _comm_matrix_entries
 
-__all__ = ["BatchPricer"]
+__all__ = ["RoutePricer"]
 
 
-class BatchPricer:
-    """Closed-form flat-topology pricing over the comm-triple arena."""
+def _crossing_stats(src: tuple[int, ...], dst: tuple[int, ...],
+                    entries) -> tuple[float, float, float, float] | None:
+    """Largest row sum, largest column sum, total and largest amount of
+    the entries that cross the network, each summed in entry order;
+    ``None`` when every entry stays local."""
+    row = [0.0] * len(src)
+    col = [0.0] * len(dst)
+    total = 0.0
+    amax = 0.0
+    for i, j, a in entries:
+        if src[i] != dst[j]:
+            row[i] += a
+            col[j] += a
+            total += a
+            if a > amax:
+                amax = a
+    if total == 0.0:
+        return None
+    return max(row), max(col), total, amax
+
+
+def _nic_bound(sums: list[float], classes: list[int],
+               caps: dict[int, float]) -> float:
+    """Largest ``bytes / capacity`` over the NIC links of one side."""
+    if classes.count(classes[0]) == len(classes):
+        return max(sums) / caps[classes[0]]
+    return max(b / caps[k] for b, k in zip(sums, classes) if b)
+
+
+class RoutePricer:
+    """``(time, remote bytes)`` of redistributions on one platform."""
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self._offsets: tuple[int, ...] | None = None
-        self._sizes: tuple[int, ...] | None = None
-        clusters = getattr(cluster, "clusters", None)
-        if clusters is not None:
-            self._offsets = cluster.offsets
-            self._sizes = tuple(c.num_procs for c in clusters)
-        # (bytes, p, q) → (i_idx, j_idx, amt, unmasked stats or None)
-        self._arena: dict[tuple[float, int, int], list] = {}
-        # (src cluster, dst cluster) → (latency, rate cap, link caps)
-        self._consts: dict[tuple[int, int],
-                           tuple[float, float, tuple[float, ...]]] = {}
+        # class-pair key → (middle link ids, latency, rate cap)
+        self._pairs: dict[int, tuple[tuple[int, ...], float, float]] = {}
+        # route class → capacity of its processors' up / down links
+        self._up_cap: dict[int, float] = {}
+        self._down_cap: dict[int, float] = {}
+        # (bytes, p, q) → (largest row, largest column, total, largest
+        # amount) of a redistribution between disjoint sets: nothing is
+        # local, so these depend on the triples alone
+        self._disjoint: dict[tuple[float, int, int],
+                             tuple[float, float, float, float]] = {}
 
-    @classmethod
-    def for_cluster(cls, cluster) -> "BatchPricer | None":
-        """A pricer for ``cluster``, or ``None`` when it needs the scalar
-        path (any cabinet hierarchy makes routes position-dependent)."""
-        clusters = getattr(cluster, "clusters", None)
-        if clusters is not None:
-            if any(c.is_hierarchical for c in clusters):
-                return None
-        elif cluster.is_hierarchical:
-            return None
-        return cls(cluster)
-
-    # ------------------------------------------------------------------ #
-    def _cluster_of(self, procs: Sequence[int]) -> int | None:
-        """Cluster index of a single-cluster set; ``None`` if it spans."""
-        if self._offsets is None:
-            return 0
-        k = bisect_right(self._offsets, procs[0]) - 1
-        lo = self._offsets[k]
-        hi = lo + self._sizes[k]
-        for p in procs:
-            if not lo <= p < hi:
-                return None
-        return k
-
-    def _arena_for(self, data: float, p: int, q: int) -> list:
-        key = (data, p, q)
-        hit = self._arena.get(key)
-        if hit is None:
-            entries = _comm_matrix_entries(data, p, q)
-            i_idx = np.fromiter((e[0] for e in entries), dtype=np.int64,
-                                count=len(entries))
-            j_idx = np.fromiter((e[1] for e in entries), dtype=np.int64,
-                                count=len(entries))
-            amt = np.fromiter((e[2] for e in entries), dtype=float,
-                              count=len(entries))
-            hit = [i_idx, j_idx, amt, None]
-            self._arena[key] = hit
+    def _pair(self, key: int, s: int, d: int, cs: int, cd: int):
+        """Constants of the class pair ``key``, from the pair ``s → d``."""
+        topo = self.cluster.topology
+        indices, latency, cap = topo.pair_summary(s, d)
+        caps = topo.capacity_list
+        self._up_cap[cs] = caps[indices[0]]
+        self._down_cap[cd] = caps[indices[-1]]
+        hit = self._pairs[key] = (indices[1:-1], latency, cap)
         return hit
 
-    def _unmasked_stats(self, arena: list, p: int, q: int):
-        stats = arena[3]
-        if stats is None:
-            i_idx, j_idx, amt = arena[0], arena[1], arena[2]
-            if len(amt) == 0:
-                stats = (0.0, 0.0, 0.0, 0.0, 0)
-            else:
-                row = np.bincount(i_idx, weights=amt, minlength=p)
-                col = np.bincount(j_idx, weights=amt, minlength=q)
-                stats = (float(row.max()), float(col.max()),
-                         float(np.cumsum(amt)[-1]), float(amt.max()),
-                         len(amt))
-            arena[3] = stats
-        return stats
-
-    def _consts_for(self, ks: int, kd: int, s: int, d: int):
-        key = (ks, kd)
-        hit = self._consts.get(key)
-        if hit is None:
-            topo = self.cluster.topology
-            indices, latency, cap = topo.pair_summary(s, d)
-            caps = tuple(topo.capacity_list[li] for li in indices)
-            hit = (latency, cap, caps)
-            self._consts[key] = hit
-        return hit
-
-    @staticmethod
-    def _finish(row_max: float, col_max: float, total: float,
-                amt_max: float, consts) -> float:
-        """``max(bottleneck, slowest flow) + latency`` from the statistics.
-
-        ``max`` over the per-link quotients equals the quotient of the
-        max numerator (division by a positive constant is monotone), so
-        this matches the scalar per-link loop bit for bit.
-        """
-        latency, cap, caps = consts
-        b = row_max / caps[0]
-        v = col_max / caps[-1]
-        if v > b:
-            b = v
-        for c in caps[1:-1]:          # WAN up/down carry the full total
-            v = total / c
-            if v > b:
-                b = v
-        v = amt_max / cap             # per-flow TCP rate cap
-        if v > b:
-            b = v
-        return b + latency
-
-    def _masked_stats(self, arena: list, src_map: np.ndarray,
-                      dst_map: np.ndarray, p: int, q: int, kernel):
-        """Row/col/total/max over entries that cross between nodes."""
-        i_idx, j_idx, amt = arena[0], arena[1], arena[2]
-        n = len(amt)
-        if kernel is not None:
-            row = np.zeros(p)
-            col = np.zeros(q)
-            out = np.zeros(3)
-            kernel(n, i_idx.ctypes.data, j_idx.ctypes.data,
-                   amt.ctypes.data, src_map.ctypes.data,
-                   dst_map.ctypes.data, row.ctypes.data,
-                   col.ctypes.data, out.ctypes.data)
-            if out[2] == 0:
-                return None
-            return (float(row.max()), float(col.max()), float(out[0]),
-                    float(out[1]), int(out[2]))
-        mask = src_map[i_idx] != dst_map[j_idx]
-        if not mask.any():
-            return None
-        am = amt[mask]
-        row = np.bincount(i_idx[mask], weights=am, minlength=p)
-        col = np.bincount(j_idx[mask], weights=am, minlength=q)
-        return (float(row.max()), float(col.max()),
-                float(np.cumsum(am)[-1]), float(am.max()), len(am))
-
-    # ------------------------------------------------------------------ #
-    def price(self, src: tuple[int, ...],
-              dst_list: Sequence[tuple[int, ...]],
-              data: float) -> list[tuple[float, float] | None] | None:
-        """``(time, remote bytes)`` for every candidate, in one pass.
-
-        Returns ``None`` when the source set itself needs the scalar
-        path; individual entries are ``None`` for candidates that do
-        (either way the caller falls back per key, so supported and
-        unsupported candidates can mix freely).
-        """
-        p = len(src)
-        ks = self._cluster_of(src)
-        if ks is None:
-            return None
+    def price(self, src: tuple[int, ...], dst: tuple[int, ...],
+              data: float) -> tuple[float, float]:
+        """Estimated time and remote bytes of ``src → dst`` for ``data``
+        bytes; ``ValueError`` on a duplicate or out-of-range processor."""
+        p, q = len(src), len(dst)
+        entries = _comm_matrix_entries(data, p, q)
+        topo = self.cluster.topology
+        classes = topo.route_class_ids()
+        n = len(classes)
         src_set = set(src)
-        src_map = None
-        kernel = load_pricing_kernel()
-        out: list[tuple[float, float] | None] = [None] * len(dst_list)
-        for idx, dst in enumerate(dst_list):
-            q = len(dst)
-            kd = self._cluster_of(dst)
-            if kd is None:
-                continue
-            arena = self._arena_for(data, p, q)
-            if kd == ks and any(d in src_set for d in dst):
-                if src_map is None:
-                    src_map = np.asarray(src, dtype=np.int64)
-                stats = self._masked_stats(
-                    arena, src_map, np.asarray(dst, dtype=np.int64),
-                    p, q, kernel)
-                if stats is None:      # everything is self-communication
-                    out[idx] = (0.0, 0)
-                    continue
-            else:
-                stats = self._unmasked_stats(arena, p, q)
-                if stats[4] == 0:
-                    out[idx] = (0.0, 0)
-                    continue
-            row_max, col_max, total, amt_max, _ = stats
-            # representative pair: any (s, d) with s != d prices the
-            # class — latency/caps are per-cluster-pair constants on a
-            # flat topology
-            s, d = src[0], dst[0]
+        if len(src_set) != p or len(set(dst)) != q:
+            raise ValueError(f"duplicate processor in {src} -> {dst}")
+        if min(src) < 0 or min(dst) < 0 or max(src) >= n or max(dst) >= n:
+            raise ValueError(f"processor out of range in {src} -> {dst}")
+        if not entries:
+            return 0.0, 0.0
+        sc = [classes[x] for x in src]
+        dc = [classes[x] for x in dst]
+        cs, cd = sc[0], dc[0]
+        if sc.count(cs) == p and dc.count(cd) == q:
+            # one class pair: every middle link carries the total
+            disjoint = src_set.isdisjoint(dst)
+            stats = self._disjoint.get((data, p, q)) if disjoint else None
+            if stats is None:
+                stats = _crossing_stats(src, dst, entries)
+                if stats is None:
+                    return 0.0, 0.0
+                if disjoint:
+                    self._disjoint[(data, p, q)] = stats
+            row_max, col_max, total, amax = stats
+            key = cs * n + cd          # class ids are < n
+            pair = self._pairs.get(key)
+            if pair is None:
+                s, d = next((src[i], dst[j]) for i, j, _ in entries
+                            if src[i] != dst[j])
+                pair = self._pair(key, s, d, cs, cd)
+            mids, latency, cap = pair
+            t = max(row_max / self._up_cap[cs], col_max / self._down_cap[cd])
+            caps = topo.capacity_list
+            for li in mids:
+                v = total / caps[li]
+                if v > t:
+                    t = v
+            if cap > 0:
+                v = amax / cap
+                if v > t:
+                    t = v
+            return t + latency, total
+
+        # several class pairs: sum the middle links entry by entry
+        row = [0.0] * p
+        col = [0.0] * q
+        total = 0.0
+        pairs = self._pairs
+        mid: dict[int, float] = {}
+        largest: dict[int, list] = {}     # key → [largest amount, mids]
+        for i, j, a in entries:
+            s = src[i]
+            d = dst[j]
             if s == d:
-                d = next((x for x in dst if x != s), None)
-                if d is None:
-                    s = next(x for x in src if x != dst[0])
-                    d = dst[0]
-            consts = self._consts_for(ks, kd, s, d)
-            out[idx] = (self._finish(row_max, col_max, total, amt_max,
-                                     consts), total)
-        return out
+                continue
+            row[i] += a
+            col[j] += a
+            total += a
+            key = sc[i] * n + dc[j]
+            hit = largest.get(key)
+            if hit is None:
+                pair = pairs.get(key)
+                if pair is None:
+                    pair = self._pair(key, s, d, sc[i], dc[j])
+                largest[key] = hit = [a, pair[0]]
+            elif a > hit[0]:
+                hit[0] = a
+            for li in hit[1]:
+                mid[li] = mid.get(li, 0.0) + a
+        if not largest:
+            return 0.0, 0.0
+        t = max(_nic_bound(row, sc, self._up_cap),
+                _nic_bound(col, dc, self._down_cap))
+        caps = topo.capacity_list
+        for li, b in mid.items():
+            v = b / caps[li]
+            if v > t:
+                t = v
+        latency = 0.0
+        for key, (amax, _) in largest.items():
+            _, lat, cap = pairs[key]
+            if lat > latency:
+                latency = lat
+            if cap > 0:
+                v = amax / cap
+                if v > t:
+                    t = v
+        return t + latency, total

@@ -13,6 +13,16 @@ overlaps first), remaining processors fill the leftover slots in sorted
 order.  When the receiver set equals the sender set and sizes match, the
 result is the sender order itself — making the redistribution entirely
 free, the property RATS exploits.
+
+The greedy runs in ``O(p + q log q)``.  A processor at sender rank ``i``
+only scans the free receiver slots in ``[(i·q)//p, ((i+1)·q − 1)//p]``:
+exactly the slots whose block interval overlaps its own.  An exact
+positive overlap is at least ``1/(p·q)``, far above rounding, and slots
+whose exact endpoints coincide round to equal floats, so these are also
+exactly the slots with a positive *float* overlap — the ones a full scan
+ranks first.  When all of them are taken, every free slot overlaps by
+0.0 and the full scan picks the free slot nearest the preferred one (the
+lower on ties), which next-free pointers find directly.
 """
 
 from __future__ import annotations
@@ -24,6 +34,14 @@ __all__ = ["align_receivers"]
 
 def _overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a next-free pointer array (path halving)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def align_receivers(src_procs: Sequence[int],
@@ -40,44 +58,55 @@ def align_receivers(src_procs: Sequence[int],
 
     Returns
     -------
-    The receiver set as an ordered tuple.
+    The receiver set as an ordered tuple.  A processor listed twice in
+    either set raises ``ValueError``.
     """
-    dst_list = sorted(set(dst_procs))
-    p, q = len(src_procs), len(dst_list)
+    dst = list(dst_procs)
+    dst_set = set(dst)
+    if len(dst_set) != len(dst):
+        raise ValueError(f"duplicate receiver in {dst}")
+    src_set = set(src_procs)
+    if len(src_set) != len(src_procs):
+        raise ValueError(f"duplicate sender in {tuple(src_procs)}")
+    p, q = len(src_procs), len(dst)
     if q == 0:
         raise ValueError("empty receiver set")
-    src_rank = {proc: r for r, proc in enumerate(src_procs)}
-
-    shared = [proc for proc in dst_list if proc in src_rank]
-    others = [proc for proc in dst_list if proc not in src_rank]
+    dst_list = sorted(dst_set)
+    if src_set.isdisjoint(dst_set):
+        return tuple(dst_list)
 
     slots: list[int | None] = [None] * q
-    # normalised sender intervals: rank i owns [i/p, (i+1)/p)
-    recv_ivals = [(j / q, (j + 1) / q) for j in range(q)]
-
-    # process shared processors in sender-rank order (deterministic; block
+    # right[j]: smallest free slot >= j (q: none); left[j + 1]: largest
+    # free slot <= j, shifted by one (0: none)
+    right = list(range(q + 1))
+    left = list(range(q + 1))
+    # shared processors in sender-rank order (deterministic; block
     # shares are uniform, so rank order is also largest-overlap-first)
-    shared_sorted = sorted(shared, key=lambda proc: src_rank[proc])
-    for proc in shared_sorted:
-        i = src_rank[proc]
+    for i, proc in enumerate(src_procs):
+        if proc not in dst_set:
+            continue
         ival = (i / p, (i + 1) / p)
         preferred = min(int(i * q / p), q - 1)
-        # probe preferred slot, then nearest free slots by overlap
-        best_j, best_ov = None, -1.0
-        for j in range(q):
-            if slots[j] is not None:
-                continue
-            ov = _overlap(ival, recv_ivals[j])
-            # prefer higher overlap, then proximity to the preferred slot
-            key = (ov, -abs(j - preferred))
-            if best_j is None or key > (best_ov, -abs(best_j - preferred)):
-                best_j, best_ov = j, ov
-        assert best_j is not None
+        # the window of overlapping slots: higher overlap first, then
+        # proximity to the preferred slot, the lower slot on full ties
+        best_j, best_key = -1, None
+        for j in range(i * q // p, ((i + 1) * q - 1) // p + 1):
+            if slots[j] is None:
+                key = (_overlap(ival, (j / q, (j + 1) / q)),
+                       -abs(j - preferred))
+                if best_key is None or key > best_key:
+                    best_j, best_key = j, key
+        if best_key is None:
+            # no overlapping slot is free: the nearest free slot
+            hi = _find(right, preferred)
+            lo = _find(left, preferred + 1) - 1
+            if lo < 0 or (hi < q and hi - preferred < preferred - lo):
+                best_j = hi
+            else:
+                best_j = lo
         slots[best_j] = proc
+        right[best_j] = best_j + 1
+        left[best_j + 1] = best_j
 
-    it = iter(others)
-    for j in range(q):
-        if slots[j] is None:
-            slots[j] = next(it)
-    assert all(s is not None for s in slots)
-    return tuple(s for s in slots if s is not None)
+    it = iter(x for x in dst_list if x not in src_set)
+    return tuple(s if s is not None else next(it) for s in slots)

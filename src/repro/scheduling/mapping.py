@@ -100,12 +100,11 @@ class ListScheduler:
         per probe.  Pass an existing index to share a warm one across
         jobs (the online engine does; it is reseeded to this job's
         ``proc_release`` view), or ``False`` for the reference scan.
-    vector_price:
-        ``True`` (default) batch-prices all candidate placements of a
-        task per predecessor edge through
-        :meth:`~repro.redistribution.cost.RedistributionCost.price_batch`
-        (bitwise-identical estimates); ``False`` keeps per-candidate
-        scalar pricing.
+
+    Every candidate placement is priced edge by edge through
+    :meth:`~repro.redistribution.cost.RedistributionCost.time` and
+    :meth:`~repro.redistribution.cost.RedistributionCost.remote_bytes`,
+    one memoised exact pricer on every topology.
     """
 
     def __init__(
@@ -120,7 +119,6 @@ class ListScheduler:
         priority_edge_costs: bool = True,
         candidates: str = "earliest",
         avail_index: bool | AvailabilityIndex = True,
-        vector_price: bool = True,
     ) -> None:
         if candidates not in ("earliest", "rich"):
             raise ValueError(f"unknown candidate policy {candidates!r}")
@@ -152,7 +150,6 @@ class ListScheduler:
                 cluster, self.proc_avail)
         else:
             self._avail = None
-        self.vector_price = vector_price
         self.schedule = Schedule(graph=graph, cluster=cluster)
         self.priorities = self._compute_priorities(priority_edge_costs)
 
@@ -242,16 +239,8 @@ class ListScheduler:
 
     def best_decision(self, name: str, nprocs: int) -> MappingDecision:
         """Earliest-finish decision over the candidate processor sets."""
-        candidates = self.candidate_sets(name, nprocs)
-        if self.vector_price and len(candidates) > 1:
-            # one batched pricing pass per predecessor edge fills the
-            # estimator's memo caches; the scalar loop below hits them
-            for pred in self.graph.predecessors(name):
-                self.redist.price_batch(self.schedule[pred].procs,
-                                        candidates,
-                                        self.graph.edge_bytes(pred, name))
         best: MappingDecision | None = None
-        for procs in candidates:
+        for procs in self.candidate_sets(name, nprocs):
             d = self.decision_for_procs(name, procs)
             if (best is None
                     or (d.finish, d.remote_bytes, d.procs)
@@ -350,7 +339,6 @@ class ListScheduler:
                     "(single cluster)")
 def _build_list_scheduler(graph, platform, model, allocation, *,
                           params=None, redist=None, proc_release=None,
-                          avail_index=True, vector_price=True):
+                          avail_index=True):
     return ListScheduler(graph, platform, model, allocation, redist=redist,
-                         proc_release=proc_release, avail_index=avail_index,
-                         vector_price=vector_price)
+                         proc_release=proc_release, avail_index=avail_index)

@@ -122,7 +122,6 @@ class MultiClusterListScheduler(_MultiClusterMixin, ListScheduler):
         proc_release: Sequence[float] | None = None,
         priority_edge_costs: bool = True,
         avail_index=True,
-        vector_price: bool = True,
     ) -> None:
         self.platform = platform
         super().__init__(
@@ -134,7 +133,6 @@ class MultiClusterListScheduler(_MultiClusterMixin, ListScheduler):
             proc_release=proc_release,
             priority_edge_costs=priority_edge_costs,
             avail_index=avail_index,
-            vector_price=vector_price,
         )
 
 
@@ -153,7 +151,6 @@ class MultiClusterRATSScheduler(_MultiClusterMixin, RATSScheduler):
         proc_release: Sequence[float] | None = None,
         priority_edge_costs: bool = True,
         avail_index=True,
-        vector_price: bool = True,
     ) -> None:
         self.platform = platform
         super().__init__(
@@ -166,7 +163,6 @@ class MultiClusterRATSScheduler(_MultiClusterMixin, RATSScheduler):
             proc_release=proc_release,
             priority_edge_costs=priority_edge_costs,
             avail_index=avail_index,
-            vector_price=vector_price,
         )
 
 
@@ -175,12 +171,11 @@ class MultiClusterRATSScheduler(_MultiClusterMixin, RATSScheduler):
                                 "clusters")
 def _build_mc_list_scheduler(graph, platform, model, allocation, *,
                              params=None, redist=None, proc_release=None,
-                             avail_index=True, vector_price=True):
+                             avail_index=True):
     return MultiClusterListScheduler(graph, platform, allocation,
                                      model=model, redist=redist,
                                      proc_release=proc_release,
-                                     avail_index=avail_index,
-                                     vector_price=vector_price)
+                                     avail_index=avail_index)
 
 
 @register_scheduler("multicluster-rats",
@@ -188,11 +183,10 @@ def _build_mc_list_scheduler(graph, platform, model, allocation, *,
                                 "platform (WAN-crossing aware)")
 def _build_mc_rats_scheduler(graph, platform, model, allocation, *,
                              params=None, redist=None, proc_release=None,
-                             avail_index=True, vector_price=True):
+                             avail_index=True):
     if params is None:
         raise ValueError("the multicluster-rats scheduler needs RATSParams")
     return MultiClusterRATSScheduler(graph, platform, allocation, params,
                                      model=model, redist=redist,
                                      proc_release=proc_release,
-                                     avail_index=avail_index,
-                                     vector_price=vector_price)
+                                     avail_index=avail_index)

@@ -179,13 +179,11 @@ class TestIndexedKernelParity:
 
         status = _ckernel.warm()
         assert set(status) == {"waterfill", "maxmin_indexed",
-                               "price_masked", "waterfill_batch",
-                               "sweep_comp", "status"}
+                               "waterfill_batch", "sweep_comp", "status"}
         # every entry point lives in the one shared object, so they are
         # all available or none is — the batch and sweep kernels must
         # precompile exactly when the original waterfill kernel does
         assert status["waterfill"] == status["maxmin_indexed"]
-        assert status["waterfill"] == status["price_masked"]
         assert status["waterfill"] == status["waterfill_batch"]
         assert status["waterfill"] == status["sweep_comp"]
 

@@ -1,13 +1,14 @@
-"""The scheduler raw-speed leg: indexed availability + vectorised pricing.
+"""The scheduler raw-speed leg: indexed availability and batch pricing.
 
 The project's signature guarantee is that performance work never moves a
-number: the fast paths must produce ``ScheduleEntry`` lists *equal* to
-the reference scan/scalar paths on every input.  The property tests here
-draw random DAGs, platforms (single- and multi-cluster) and residual
-``proc_release`` seedings and assert exactly that, alongside unit tests
-for the :class:`~repro.scheduling.avail.AvailabilityIndex`, the batched
-pricer's bitwise parity (numpy and C kernel), and the online engine's
-warm availability index.
+number: the indexed availability path must produce ``ScheduleEntry``
+lists *equal* to the reference scan path on every input.  The property
+tests here draw random DAGs, platforms (single- and multi-cluster) and
+residual ``proc_release`` seedings and assert exactly that, alongside
+unit tests for the :class:`~repro.scheduling.avail.AvailabilityIndex`,
+``price_batch`` against the per-flow estimator, and the online engine's
+warm availability index.  The pricer's own parity suite is
+``tests/test_pricing_parity.py``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 from repro.core.params import RATSParams
 from repro.core.rats import RATSScheduler
 from repro.dag.generator import DagShape, random_irregular_dag, random_layered_dag
+from repro.network.flows import bottleneck_time_estimate_mapped
 from repro.platforms.cluster import Cluster
 from repro.platforms.multicluster import MultiClusterPlatform
 from repro.redistribution.cost import RedistributionCost
-from repro.redistribution.pricing import BatchPricer
+from repro.redistribution.matrix import _comm_matrix_entries
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.avail import (AvailabilityIndex, platform_groups,
                                     seed_proc_avail)
@@ -198,13 +200,12 @@ def test_list_scheduler_fastpath_byte_identical(data):
             graph, platform, allocation, proc_release=release).run()
         ref = MultiClusterListScheduler(
             graph, platform, allocation, proc_release=release,
-            avail_index=False, vector_price=False).run()
+            avail_index=False).run()
     else:
         fast = ListScheduler(graph, platform, model, allocation,
                              proc_release=release).run()
         ref = ListScheduler(graph, platform, model, allocation,
-                            proc_release=release,
-                            avail_index=False, vector_price=False).run()
+                            proc_release=release, avail_index=False).run()
     assert fast.entries == ref.entries
 
 
@@ -219,13 +220,12 @@ def test_rats_scheduler_fastpath_byte_identical(data):
             proc_release=release).run()
         ref = MultiClusterRATSScheduler(
             graph, platform, allocation, params, proc_release=release,
-            avail_index=False, vector_price=False).run()
+            avail_index=False).run()
     else:
         fast = RATSScheduler(graph, platform, model, allocation, params,
                              proc_release=release).run()
         ref = RATSScheduler(graph, platform, model, allocation, params,
-                            proc_release=release,
-                            avail_index=False, vector_price=False).run()
+                            proc_release=release, avail_index=False).run()
     assert fast.entries == ref.entries
     assert fast.makespan == ref.makespan
 
@@ -241,14 +241,13 @@ def test_rich_policy_fastpath_and_set_extension():
     model = cl.performance_model()
     allocation = hcpa_allocation(graph, model, cl.num_procs).allocation
     runs = [ListScheduler(graph, cl, model, allocation,
-                          candidates="rich", avail_index=fast,
-                          vector_price=fast).run()
+                          candidates="rich", avail_index=fast).run()
             for fast in (True, False)]
     assert runs[0].entries == runs[1].entries
 
 
 # --------------------------------------------------------------------- #
-# batched pricing: bitwise parity, kernel kill switch
+# batch pricing: bitwise parity with the per-flow estimator
 # --------------------------------------------------------------------- #
 class TestBatchPricing:
     def _platform(self):
@@ -260,7 +259,6 @@ class TestBatchPricing:
 
     def test_price_batch_matches_scalar(self):
         plat = self._platform()
-        ref = RedistributionCost(plat)
         batched = RedistributionCost(plat)
         rng = np.random.default_rng(3)
         for _ in range(40):
@@ -275,48 +273,14 @@ class TestBatchPricing:
             data = float(rng.uniform(0, 1e7))
             times, remotes = batched.price_batch(src, dsts, data)
             for d, t, r in zip(dsts, times, remotes):
-                assert t == ref.time(src, d, data)
-                assert r == ref.remote_bytes(src, d, data)
-
-    def test_hierarchical_cluster_falls_back(self):
-        cab = Cluster(name="bp-cab", num_procs=8, speed_flops=1e9,
-                      cabinets=2, cabinet_size=4)
-        assert BatchPricer.for_cluster(cab) is None
-        rc = RedistributionCost(cab)
-        times, remotes = rc.price_batch((0, 1), [(2, 3), (4, 5)], 1e6)
-        assert times[0] == rc.time((0, 1), (2, 3), 1e6)
-        assert remotes[1] == rc.remote_bytes((0, 1), (4, 5), 1e6)
-
-    def test_kernel_kill_switch(self, monkeypatch):
-        # REPRO_NO_C_KERNEL must force the numpy path and leave every
-        # priced value unchanged
-        plat = self._platform()
-        src, dsts, data = (0, 1, 2), [(1, 2, 3, 4), (8, 9), (16, 17, 18)], 3.3e6
-        with_kernel = RedistributionCost(plat).price_batch(src, dsts, data)
-        monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
-        from repro.network import _ckernel
-        assert _ckernel.load_pricing_kernel() is None
-        without = RedistributionCost(plat).price_batch(src, dsts, data)
-        assert with_kernel == without
-
-    def test_kernel_numpy_masked_stats_bitwise(self):
-        from repro.network._ckernel import load_pricing_kernel
-        kernel = load_pricing_kernel()
-        if kernel is None:
-            pytest.skip("no C compiler available")
-        cl = Cluster(name="bp-k", num_procs=16, speed_flops=1e9)
-        bp = BatchPricer.for_cluster(cl)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p, q = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            data = float(rng.uniform(1, 1e7))
-            arena = bp._arena_for(data, p, q)
-            src = np.array(rng.choice(16, size=p, replace=False),
-                           dtype=np.int64)
-            dst = np.array(rng.choice(16, size=q, replace=False),
-                           dtype=np.int64)
-            assert bp._masked_stats(arena, src, dst, p, q, kernel) == \
-                bp._masked_stats(arena, src, dst, p, q, None)
+                entries = _comm_matrix_entries(data, len(src), len(d))
+                assert t == bottleneck_time_estimate_mapped(src, d, entries,
+                                                            plat)
+                remote = 0.0
+                for i, j, amount in entries:
+                    if src[i] != d[j]:
+                        remote += amount
+                assert r == remote
 
 
 # --------------------------------------------------------------------- #
@@ -346,8 +310,7 @@ class TestOnlineFastpath:
         from repro.online.engine import OnlineSimulator
 
         plat = self._platform()
-        ref = OnlineSimulator(plat, avail_index=False,
-                              vector_price=False).run(
+        ref = OnlineSimulator(plat, avail_index=False).run(
             self._stream(adaptive=adaptive))
         res = OnlineSimulator(plat).run(self._stream(adaptive=adaptive))
         assert res.records == ref.records

@@ -69,6 +69,84 @@ class TestTaskGraphConstruction:
         # the offending edge must not remain
         assert ("t2", "t0") not in [(u, v) for u, v, _ in g.edges()]
 
+    def test_two_cycle_rejected_with_graph_unchanged(self):
+        g = TaskGraph()
+        g.add_task(Task("a"))
+        g.add_task(Task("b"))
+        g.add_edge("a", "b", 5.0)
+        before = list(g.edges())
+        with pytest.raises(ValueError,
+                           match="edge 'b'->'a' would create a cycle"):
+            g.add_edge("b", "a", 1.0)
+        assert list(g.edges()) == before
+        assert g.predecessors("a") == [] and g.successors("b") == []
+
+    def test_long_cycle_rejected_with_graph_unchanged(self):
+        g = make_chain(30)
+        g.add_task(Task("side"))
+        g.add_edge("t3", "side")
+        g.add_edge("side", "t20")
+        before = list(g.edges())
+        for u, v in (("t29", "t0"), ("t20", "side"), ("side", "t3"),
+                     ("t25", "t4")):
+            with pytest.raises(ValueError, match="would create a cycle"):
+                g.add_edge(u, v)
+            assert list(g.edges()) == before
+        g.add_edge("t0", "t29")          # a shortcut is still acyclic
+        assert g.num_edges == len(before) + 1
+
+    def test_re_adding_an_edge_updates_its_bytes(self):
+        g = make_chain(3)
+        order = list(g.edges())
+        g.add_edge("t0", "t1", 42.0)
+        assert g.edge_bytes("t0", "t1") == 42.0
+        assert [(u, v) for u, v, _ in g.edges()] == \
+            [(u, v) for u, v, _ in order]
+
+    def test_paper_slice_graphs_equal_the_whole_graph_check(self,
+                                                            monkeypatch):
+        """The 27 paper-slice graphs, built edge for edge, equal the ones
+        built when every insert re-checks the whole graph for cycles."""
+        import networkx as nx
+
+        from repro.experiments.scenarios import Scenario
+
+        shapes = (
+            [{"family": "layered", "n_tasks": n, "width": w, "density": d,
+              "regularity": r}
+             for n, w, d, r in ((25, 0.8, 0.8, 0.2), (50, 0.2, 0.2, 0.8),
+                                (50, 0.8, 0.8, 0.8))]
+            + [{"family": "irregular", "n_tasks": n, "width": w,
+                "density": d, "regularity": r, "jump": j}
+               for n, w, d, r, j in ((25, 0.5, 0.2, 0.8, 1),
+                                     (25, 0.8, 0.8, 0.2, 4),
+                                     (100, 0.8, 0.2, 0.2, 1))]
+            + [{"family": "fft", "k": 4}, {"family": "fft", "k": 16},
+               {"family": "strassen"}])
+        scenarios = [Scenario(sample=s, **shape) for shape in shapes
+                     for s in range(3)]
+
+        def layout(g):
+            nxg = g.nx_graph
+            return (list(nxg.nodes), list(g.edges()),
+                    [list(nxg.pred[n]) for n in nxg],
+                    [list(nxg.succ[n]) for n in nxg])
+
+        built = [layout(sc.build()) for sc in scenarios]
+
+        def whole_graph_add_edge(self, src, dst, data_bytes=None):
+            u = src.name if isinstance(src, Task) else src
+            v = dst.name if isinstance(dst, Task) else dst
+            if data_bytes is None:
+                data_bytes = self.task(u).data_bytes
+            self._g.add_edge(u, v, data_bytes=float(data_bytes))
+            if not nx.is_directed_acyclic_graph(self._g):
+                self._g.remove_edge(u, v)
+                raise ValueError(f"edge {u!r}->{v!r} would create a cycle")
+
+        monkeypatch.setattr(TaskGraph, "add_edge", whole_graph_add_edge)
+        assert built == [layout(sc.build()) for sc in scenarios]
+
     def test_default_edge_weight_is_producer_bytes(self):
         g = TaskGraph()
         g.add_task(Task("a", data_elements=100))
