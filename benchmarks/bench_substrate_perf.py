@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.experiments.bench import dense_dag_schedule
 from repro.experiments.scenarios import Scenario
-from repro.network.maxmin import maxmin_rates_indexed
+from repro.network.maxmin import maxmin_rates
 from repro.platforms.grid5000 import GRILLON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.simulation.simulator import simulate
@@ -32,7 +32,7 @@ def test_simulator_dense_dag(benchmark):
 
 
 def test_simulator_bundling_speedup(benchmark):
-    """Bundled Max-Min solves vs the per-flow reference path.
+    """Bundled Max-Min solves vs the per-flow reference engine.
 
     Guards the PR-3 fast path: identical results (events and makespan),
     and the bundled solver must stay well ahead of the reference
@@ -40,11 +40,12 @@ def test_simulator_bundling_speedup(benchmark):
     """
     import time
 
+    from repro.simulation.reference import simulate_reference
     from repro.simulation.simulator import FluidSimulator
 
     schedule = _dense_schedule()
     t0 = time.perf_counter()
-    ref = FluidSimulator(schedule, use_bundling=False).run()
+    ref = simulate_reference(schedule)
     t_ref = time.perf_counter() - t0
 
     fast = benchmark.pedantic(
@@ -69,20 +70,6 @@ def test_hcpa_allocation_speed(benchmark):
     assert res.converged or res.iterations > 0
 
 
-def test_maxmin_solver_speed(benchmark):
-    """1000 random flows over grelon-sized topology (250 links)."""
-    rng = spawn_rng("maxmin-bench")
-    n_links, n_flows = 250, 1000
-    capacities = np.full(n_links, 1.25e8)
-    flows = [
-        [int(a), int(b)]
-        for a, b in rng.integers(0, n_links, size=(n_flows, 2))
-    ]
-    rates = benchmark(maxmin_rates_indexed, flows, capacities)
-    assert len(rates) == n_flows
-    assert (rates >= 0).all()
-
-
 def test_simulator_component_reuse(benchmark):
     """Sparse multi-cluster pipelines: the lazy component engine's regime.
 
@@ -101,7 +88,9 @@ def test_simulator_component_reuse(benchmark):
 
 
 def test_maxmin_bundled_speed(benchmark):
-    """Same random flow set through the bundled solver (the sim hot path)."""
+    """1000 random flows over a grelon-sized topology (250 links)
+    through the bundled solver (the sim hot path), checked against the
+    reference solver."""
     from repro.network.maxmin import maxmin_rates_bundled
 
     rng = spawn_rng("maxmin-bench")
@@ -113,7 +102,7 @@ def test_maxmin_bundled_speed(benchmark):
     ]
     rates = benchmark(maxmin_rates_bundled, flows, capacities)
     assert len(rates) == n_flows
-    ref = maxmin_rates_indexed(flows, capacities)
+    ref = maxmin_rates(flows, dict(enumerate(capacities)))
     np.testing.assert_allclose(rates, ref, rtol=1e-9, atol=1e-9)
 
 

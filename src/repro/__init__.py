@@ -154,7 +154,7 @@ from repro.online import (
     stream_from_spec,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

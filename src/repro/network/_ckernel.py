@@ -1,4 +1,4 @@
-"""Optional compiled waterfilling kernel (transparent numpy fallback).
+"""Optional compiled fluid-engine kernels (transparent numpy fallback).
 
 The fluid simulator re-solves Max-Min rates thousands of times per
 scenario; each solve is a handful of local-bottleneck rounds over a few
@@ -6,21 +6,30 @@ hundred bundles.  At that size the numpy implementation is dispatch-bound
 (~100 numpy calls of ~300 elements each), so a direct C translation of
 the *same* loop runs an order of magnitude faster.
 
-This module compiles that translation on first use with the system C
+The shared object has three entry points, each bound by its own loader:
+
+* ``repro_waterfill`` (:func:`load_kernel`) — one bundled solve, behind
+  :func:`repro.network.maxmin.waterfill_bundled`;
+* ``repro_waterfill_batch`` (:func:`load_batch_kernel`) — the re-solve
+  of every dirty component of one event in one crossing;
+* ``repro_sweep_comp`` (:func:`load_sweep_kernel`) — one component's
+  completion sweep.
+
+This module compiles the C source on first use with the system C
 compiler into a content-addressed shared object under the user cache
 directory and binds it via :mod:`ctypes` — no build-time machinery, no
 extra dependencies.  When no compiler is available (or
-``REPRO_NO_C_KERNEL=1`` is set) :func:`load_kernel` returns ``None`` and
-:func:`repro.network.maxmin.waterfill_bundled` silently keeps its numpy
-path.
+``REPRO_NO_C_KERNEL=1`` is set) every loader returns ``None`` and the
+callers keep their numpy paths.
 
 The C code mirrors the numpy path operation-for-operation — same freeze
 rules, same tolerance constants, same per-link accumulation order — and
 is compiled with ``-ffp-contract=off`` so no FMA contraction can change
 a rounding: its results are **bitwise identical** to the numpy path
-(asserted by ``tests/test_bundled_solver.py`` whenever the kernel is
-available), which keeps golden event counts independent of whether an
-environment could compile.
+(asserted by ``tests/test_bundled_solver.py`` and
+``tests/test_parallel_solver.py`` whenever the kernel is available),
+which keeps golden event counts independent of whether an environment
+could compile.
 """
 
 from __future__ import annotations
@@ -33,8 +42,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["load_kernel", "load_indexed_kernel",
-           "load_batch_kernel", "load_sweep_kernel",
+__all__ = ["load_kernel", "load_batch_kernel", "load_sweep_kernel",
            "warm", "kernel_status"]
 
 #: Why the kernel is (un)available — for diagnostics, set by load_kernel.
@@ -322,122 +330,6 @@ int64_t repro_sweep_comp(const int64_t *d, double dt, double t_now,
     }
     return n_done;
 }
-
-/* Per-flow progressive filling with the rate-cap branch.
- *
- * Mirrors repro.network.maxmin.maxmin_rates_indexed round-for-round:
- * the same first-minimum argmin over link levels and unfixed caps, the
- * same cap-branch tolerance (cap_level < link_level - 1e-12) with *no*
- * residual clamp, and the same flow-major entry order for the
- * bottleneck-link subtraction followed by one clamp per round — so the
- * rates are bitwise identical to the numpy path.
- *
- * residual is caller-owned scratch (a private copy of the capacities)
- * and is freely mutated.  Flows with an empty route must already be
- * fixed at their cap by the caller (rates pre-filled); their
- * offsets[i+1] == offsets[i], which is how they are recognised here.
- *
- * Returns 0 on success, non-zero when scratch allocation failed — the
- * caller then falls back to the numpy implementation.
- */
-int repro_maxmin_indexed(int64_t n, int64_t n_links,
-                         const int64_t *flat, const int64_t *offsets,
-                         const double *caps,
-                         double *residual,
-                         double *rates)
-{
-    void *scratch = malloc((size_t)n_links * sizeof(double) + (size_t)n);
-    if (!scratch)
-        return 1;
-    double *counts = scratch;
-    unsigned char *unfixed = (unsigned char *)(counts + n_links);
-
-    int64_t n_unfixed = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (offsets[i + 1] == offsets[i]) {
-            rates[i] = caps[i];
-            unfixed[i] = 0;
-        } else {
-            rates[i] = 0.0;
-            unfixed[i] = 1;
-            n_unfixed++;
-        }
-    }
-
-    while (n_unfixed > 0) {
-        for (int64_t l = 0; l < n_links; l++) counts[l] = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            if (!unfixed[i]) continue;
-            for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
-                counts[flat[k]] += 1.0;
-        }
-        /* first-minimum link level, exactly np.argmin over the levels */
-        int64_t link_idx = 0;
-        double link_level = INFINITY;
-        for (int64_t l = 0; l < n_links; l++) {
-            double lv = counts[l] > 0.0 ? residual[l] / counts[l]
-                                        : INFINITY;
-            if (lv < link_level) {
-                link_level = lv;
-                link_idx = l;
-            }
-        }
-        /* first-minimum unfixed rate cap */
-        int64_t cap_idx = -1;
-        double cap_level = INFINITY;
-        for (int64_t i = 0; i < n; i++) {
-            if (unfixed[i] && caps[i] < cap_level) {
-                cap_level = caps[i];
-                cap_idx = i;
-            }
-        }
-
-        if (cap_level < link_level - 1e-12) {
-            rates[cap_idx] = cap_level;
-            unfixed[cap_idx] = 0;
-            /* numpy's cap branch subtracts without clamping */
-            for (int64_t k = offsets[cap_idx]; k < offsets[cap_idx + 1];
-                 k++)
-                residual[flat[k]] -= cap_level;
-            n_unfixed--;
-            continue;
-        }
-
-        if (!isfinite(link_level)) {       /* degenerate: unbounded */
-            for (int64_t i = 0; i < n; i++)
-                if (unfixed[i]) rates[i] = INFINITY;
-            break;
-        }
-
-        /* fix every unfixed flow crossing the bottleneck link, then
-         * subtract in flow-major entry order (np.subtract.at on the
-         * isin selection), then clamp once */
-        int64_t n_new = 0;
-        for (int64_t i = 0; i < n; i++) {
-            if (!unfixed[i]) continue;
-            for (int64_t k = offsets[i]; k < offsets[i + 1]; k++) {
-                if (flat[k] == link_idx) {
-                    rates[i] = link_level;
-                    unfixed[i] = 2;        /* subtract pass below */
-                    n_new++;
-                    break;
-                }
-            }
-        }
-        for (int64_t i = 0; i < n; i++) {
-            if (unfixed[i] == 2) {
-                unfixed[i] = 0;
-                for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
-                    residual[flat[k]] -= link_level;
-            }
-        }
-        for (int64_t l = 0; l < n_links; l++)
-            if (residual[l] < 0.0) residual[l] = 0.0;
-        n_unfixed -= n_new;
-    }
-    free(scratch);
-    return 0;
-}
 """
 
 
@@ -520,18 +412,6 @@ def load_kernel():
     return fn
 
 
-def load_indexed_kernel():
-    """Bind the per-flow indexed solver kernel, or ``None`` (numpy path)."""
-    lib = _load_lib()
-    if lib is None:
-        return None
-    fn = lib.repro_maxmin_indexed
-    i64, vp = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, i64, vp, vp, vp, vp, vp]
-    fn.restype = ctypes.c_int
-    return fn
-
-
 def load_batch_kernel():
     """Bind the batched multi-component solver kernel, or ``None``.
 
@@ -578,7 +458,6 @@ def warm() -> dict:
     """
     return {
         "waterfill": load_kernel() is not None,
-        "maxmin_indexed": load_indexed_kernel() is not None,
         "waterfill_batch": load_batch_kernel() is not None,
         "sweep_comp": load_sweep_kernel() is not None,
         "status": kernel_status,

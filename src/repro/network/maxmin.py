@@ -28,10 +28,16 @@ Component decomposition
 The Max-Min optimum decomposes exactly over *link-connected components*
 of the bundle set: two bundles sharing no link (directly or transitively)
 never influence each other's rate, so each component can be solved in
-isolation.  :func:`bundle_components` labels the components and
-:func:`waterfill_bundled_by_component` solves them one by one — the
-entry point behind the fluid simulator's lazy per-component maintenance,
-which re-solves only the component an event touched.
+isolation.  The fluid simulator's component registry
+(:mod:`repro.simulation.simulator`) relies on this to re-solve only the
+component an event touched; :func:`dsu_find` is its union-find.
+
+Reference solver
+----------------
+:func:`maxmin_rates` (pure Python, one bottleneck at a time) is the one
+reference every faster solver is tested against: the bundled solver and
+its compiled kernel here, and the per-flow waterfilling of the reference
+fluid engine (:mod:`repro.simulation.reference`).
 """
 
 from __future__ import annotations
@@ -42,11 +48,8 @@ import numpy as np
 
 __all__ = [
     "maxmin_rates",
-    "maxmin_rates_indexed",
     "maxmin_rates_bundled",
     "waterfill_bundled",
-    "bundle_components",
-    "waterfill_bundled_by_component",
 ]
 
 _EPS = 1e-12
@@ -142,95 +145,8 @@ def maxmin_rates(
     return rates
 
 
-def maxmin_rates_indexed(
-    flow_links: Sequence[Sequence[int]],
-    capacities: np.ndarray,
-    rate_caps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorised Max-Min solver over integer-indexed links.
-
-    Same semantics as :func:`maxmin_rates` but links are integers indexing
-    ``capacities`` (see :attr:`repro.platforms.topology.Topology.link_index`),
-    which lets the inner progressive-filling iterations run in numpy.  This
-    is the hot path of the fluid simulator, re-invoked at every event.
-    """
-    n = len(flow_links)
-    n_links = len(capacities)
-    rates = np.zeros(n)
-    if n == 0:
-        return rates
-    fixed = np.zeros(n, dtype=bool)
-    residual = np.asarray(capacities, dtype=float).copy()
-    caps = (np.full(n, np.inf) if rate_caps is None
-            else np.asarray(rate_caps, dtype=float))
-
-    # flatten routes once: flat link ids + per-flow offsets
-    lengths = np.array([len(r) for r in flow_links], dtype=np.intp)
-    flat = np.fromiter(
-        (l for r in flow_links for l in r),
-        dtype=np.intp,
-        count=int(lengths.sum()),
-    )
-    flow_of = np.repeat(np.arange(n, dtype=np.intp), lengths)
-    # CSR offsets: flow i's links live in flat[offsets[i]:offsets[i + 1]]
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-
-    # flows with no links are only cap-limited
-    no_link = lengths == 0
-    rates[no_link] = caps[no_link]
-    fixed[no_link] = True
-
-    kernel = _indexed_kernel()
-    if (kernel is not None and flat.flags.c_contiguous
-            and caps.dtype == np.float64 and caps.flags.c_contiguous):
-        # residual is this function's private contiguous float64 copy,
-        # so the kernel may mutate it freely; the C loop replays the
-        # numpy rounds below op-for-op (bitwise identical results)
-        rc = kernel(n, n_links, flat.ctypes.data, offsets.ctypes.data,
-                    caps.ctypes.data, residual.ctypes.data,
-                    rates.ctypes.data)
-        if rc == 0:
-            return rates
-        # in-kernel scratch allocation failed: run the numpy rounds
-
-    while not fixed.all():
-        active_entry = ~fixed[flow_of]
-        counts = np.bincount(flat[active_entry], minlength=n_links)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            levels = np.where(counts > 0, residual / np.maximum(counts, 1),
-                              np.inf)
-        link_idx = int(np.argmin(levels))
-        link_level = float(levels[link_idx])
-
-        unfixed_caps = np.where(fixed, np.inf, caps)
-        cap_idx = int(np.argmin(unfixed_caps))
-        cap_level = float(unfixed_caps[cap_idx])
-
-        if cap_level < link_level - _EPS:
-            rates[cap_idx] = cap_level
-            fixed[cap_idx] = True
-            np.subtract.at(residual, flat[offsets[cap_idx]:offsets[cap_idx + 1]],
-                           cap_level)
-            continue
-
-        if not np.isfinite(link_level):  # pragma: no cover - degenerate
-            rates[~fixed] = np.inf
-            break
-
-        on_link = np.unique(flow_of[(flat == link_idx) & active_entry])
-        rates[on_link] = link_level
-        fixed[on_link] = True
-        sel = np.isin(flow_of, on_link)
-        np.subtract.at(residual, flat[sel], link_level)
-        np.maximum(residual, 0.0, out=residual)
-
-    return rates
-
-
 _KERNEL_UNSET = object()
 _C_KERNEL = _KERNEL_UNSET   # lazily resolved on the first bundled solve
-_INDEXED_KERNEL = _KERNEL_UNSET  # lazily resolved on the first indexed solve
 
 
 def _kernel():
@@ -241,16 +157,6 @@ def _kernel():
 
         _C_KERNEL = load_kernel()
     return _C_KERNEL
-
-
-def _indexed_kernel():
-    """The compiled per-flow indexed kernel, or ``None`` (numpy fallback)."""
-    global _INDEXED_KERNEL
-    if _INDEXED_KERNEL is _KERNEL_UNSET:
-        from repro.network._ckernel import load_indexed_kernel
-
-        _INDEXED_KERNEL = load_indexed_kernel()
-    return _INDEXED_KERNEL
 
 
 def waterfill_bundled(
@@ -425,7 +331,7 @@ def maxmin_rates_bundled(
     rate_caps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Max-Min rates via flow bundling — same semantics as
-    :func:`maxmin_rates_indexed`.
+    :func:`maxmin_rates`, over integer link ids indexing ``capacities``.
 
     Flows with identical (route, rate cap) are grouped into one bundle,
     the waterfilling runs over bundles with multiplicities
@@ -480,9 +386,8 @@ def dsu_find(parent: list[int], x: int) -> int:
     """Union-find root of ``x`` with path compression.
 
     ``parent`` is a plain parent list (``parent[r] == r`` marks a root);
-    merging is ``parent[find(a)] = find(b)`` at the call site.  Shared by
-    :func:`bundle_components` and the fluid simulator's component
-    registry so the merge semantics live in one audited spot.
+    merging is ``parent[find(a)] = find(b)`` at the call site.  Used by
+    the fluid simulator's component registry.
     """
     root = x
     while parent[root] != root:
@@ -490,76 +395,3 @@ def dsu_find(parent: list[int], x: int) -> int:
     while parent[x] != root:
         parent[x], x = root, parent[x]
     return root
-
-
-def bundle_components(bundle_links_flat: np.ndarray,
-                      bundle_ptr: np.ndarray) -> np.ndarray:
-    """Label every bundle with its link-connected component.
-
-    Two bundles belong to the same component when they share a link,
-    directly or through a chain of other bundles.  The Max-Min optimum is
-    separable over these components (no constraint couples them), which
-    is what lets the fluid simulator re-solve only the component an event
-    touched.  Bundles with an empty route are singleton components.
-
-    Returns an ``intp`` array of component labels, numbered ``0..k-1`` in
-    order of first appearance.
-    """
-    n_bundles = len(bundle_ptr) - 1
-    parent = list(range(n_bundles))
-
-    link_owner: dict[int, int] = {}
-    for b in range(n_bundles):
-        for li in bundle_links_flat[bundle_ptr[b]:bundle_ptr[b + 1]]:
-            owner = link_owner.get(int(li))
-            if owner is None:
-                link_owner[int(li)] = b
-            else:
-                ra, rb = dsu_find(parent, owner), dsu_find(parent, b)
-                if ra != rb:
-                    parent[rb] = ra
-
-    labels = np.empty(n_bundles, dtype=np.intp)
-    seen: dict[int, int] = {}
-    for b in range(n_bundles):
-        root = dsu_find(parent, b)
-        label = seen.get(root)
-        if label is None:
-            label = len(seen)
-            seen[root] = label
-        labels[b] = label
-    return labels
-
-
-def waterfill_bundled_by_component(
-    bundle_links_flat: np.ndarray,
-    bundle_ptr: np.ndarray,
-    multiplicity: np.ndarray,
-    capacities: np.ndarray,
-    rate_caps: np.ndarray,
-) -> np.ndarray:
-    """Solve each link-connected component independently.
-
-    Exactly equivalent to one global :func:`waterfill_bundled` call (the
-    optimum is separable over components); useful when callers want the
-    per-component structure — and the correctness anchor for the fluid
-    simulator's lazy component-scoped maintenance.
-    """
-    n_bundles = len(multiplicity)
-    rates = np.zeros(n_bundles)
-    if n_bundles == 0:
-        return rates
-    caps = np.asarray(rate_caps, dtype=float)
-    labels = bundle_components(bundle_links_flat, bundle_ptr)
-    lens = np.diff(bundle_ptr)
-    for c in range(int(labels.max()) + 1):
-        sel = np.nonzero(labels == c)[0]
-        sub_lens = lens[sel]
-        sub_ptr = np.zeros(len(sel) + 1, dtype=np.intp)
-        np.cumsum(sub_lens, out=sub_ptr[1:])
-        sub_flat = np.concatenate(
-            [bundle_links_flat[bundle_ptr[b]:bundle_ptr[b + 1]]
-             for b in sel]) if sub_ptr[-1] else np.empty(0, dtype=np.intp)
-        rates[sel] = waterfill_bundled(
-            sub_flat, sub_ptr, multiplicity[sel], capacities, caps[sel])
-    return rates

@@ -203,13 +203,16 @@ class OnlineSimulator:
         Returns whether the job was admitted; a rejected job's record is
         final immediately.  A duplicate id or a non-finite or rewinding
         arrival time raises :class:`ValueError` before any state changes.
+        A job that fails to schedule or inject leaves no trace of its id
+        (the engine has only advanced to its arrival), so it can be
+        resubmitted.
         """
         if job.job_id in self._records or job.job_id in self._pending:
             raise ValueError(f"duplicate job id {job.job_id!r}")
         self._advance_engine(job.arrival_time)
         self._sync_completions()
-        self._order.append(job.job_id)
         if not self.admission.admit(job, self.residual_state()):
+            self._order.append(job.job_id)
             self._records[job.job_id] = JobRecord(
                 job_id=job.job_id,
                 scenario=job.scenario.scenario_id,
@@ -219,6 +222,8 @@ class OnlineSimulator:
             )
             return False
         schedule = self._schedule_job(job)
+        self.engine.inject(job.job_id, schedule, job.arrival_time)
+        self._order.append(job.job_id)
         for entry in schedule.entries.values():
             for p in entry.procs:
                 if entry.finish > self._proc_avail[p]:
@@ -226,7 +231,6 @@ class OnlineSimulator:
         self._pending[job.job_id] = _PendingJob(
             arrival=job, est_makespan=schedule.makespan)
         self._in_flight.add(job.job_id)
-        self.engine.inject(job.job_id, schedule, job.arrival_time)
         return True
 
     def advance_until(self, t: float) -> list[JobRecord]:

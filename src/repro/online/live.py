@@ -1,40 +1,38 @@
-"""The live fluid engine: the batch component simulator, made injectable.
+"""The fluid engine: one event loop over jobs injected at any time.
 
-:class:`~repro.simulation.simulator.FluidSimulator` replays one complete
-schedule and returns.  The online mode needs the same physics — Max-Min
-fair fluid flows over link-connected components, lazily re-solved — but
-with jobs *entering mid-flight*: a new DAG's tasks append to the live
-processor queues and its redistribution flows join the live component
-registry, re-solving only the components they touch.
-
-:class:`LiveFluidEngine` is that engine.  It drives the *same*
-:class:`~repro.simulation.simulator._ComponentRegistry` the batch
-engine runs on — the component union-find, event heap, lazy re-solve
-and local link indexing live in one implementation — plus two
-operations the batch loop never needed:
+:class:`LiveFluidEngine` is the repo's single fluid simulation core.  It
+owns the task and flow bookkeeping and the event loop, and drives the
+link-connected component machinery of
+:class:`~repro.simulation.simulator._ComponentRegistry` (union-find,
+event heap, lazy re-solve, local link indexing).  Jobs enter
+mid-flight: a new DAG's tasks append to the live processor queues and
+its redistribution flows join the live component registry, re-solving
+only the components they touch.
 
 * :meth:`inject` — add a scheduled job at the current virtual time
   (tasks, per-processor queue entries, edge flows, pair table rows);
 * :meth:`advance_until` — run the event loop up to a target time and
-  stop, so arrivals can interleave with in-flight events.
+  stop, so arrivals can interleave with in-flight events;
+* :meth:`drain` — run until every injected task has finished.
 
-Flows live and die per redistribution edge, as in batch: an injected
-edge becomes one contiguous flow-id range, its producer's completion
-pushes one release entry per distinct release instant, a released group
-joins its component in one step when it revives drained rows of one
-component (the steady state of a stream that reuses processor sets),
-and each event's completions reach the task bookkeeping in one call.
+Batch simulation is this engine with one job:
+:func:`~repro.simulation.simulator.simulate` injects the schedule at
+t=0 under the schedule's own task names and drains.
 
-Equivalence contract
---------------------
-Because the component machinery is shared code (not a transplant), a
-single job injected at t=0 and drained produces byte-identical traces
-to ``simulate(schedule)`` — the property ``tests/test_online_engine.py``
-pins against the dense-DAG golden scenario.
+Flows live and die per redistribution edge: an injected edge becomes
+one contiguous flow-id range, its producer's completion pushes one
+release entry per distinct release instant, a released group joins its
+component in one step when it revives drained rows of one component
+(the steady state of a stream that reuses processor sets), and each
+event's completions reach the task bookkeeping in one call.
 
-Tasks are namespaced ``"<job_id>/<task>"`` internally; a uniform prefix
-preserves every heap tie-break order within a job, which is why the
-single-job equivalence is exact and not merely numerical.
+Task names
+----------
+Tasks are namespaced ``"<job_id>/<task>"`` internally.  A uniform
+prefix preserves every heap tie-break order within a job, so a single
+job injected at t=0 and drained replays ``simulate(schedule)`` byte for
+byte — ``tests/test_online_engine.py`` pins that against the dense-DAG
+scenario, and the batch wrapper itself injects with an empty prefix.
 """
 
 from __future__ import annotations
@@ -89,11 +87,18 @@ class LiveFluidEngine:
         platforms).  Processor ids in injected schedules are global ids
         on this platform.
     collect_flow_traces:
-        Keep per-flow trace records (off by default, as in batch).
+        Keep per-flow trace records (off by default: a 100-task DAG can
+        spawn tens of thousands of flows).
     lazy:
         Re-solve only touched components (default); ``False`` re-solves
-        every live component at every flow-set change — the same
-        byte-identical full-solve oracle the batch engine offers.
+        every live component at every flow-set change — byte-identical
+        traces, kept as the full-solve oracle for the dirty-tracking.
+
+    The public entry points validate their input and delegate to private
+    bodies (:meth:`_inject`, :meth:`_drain`).  ``simulate`` calls the
+    bodies directly, so a profiler that wraps the public entry points
+    books a batch run once, to the batch call, and not a second time to
+    this engine.
     """
 
     def __init__(self, cluster, *, collect_flow_traces: bool = False,
@@ -119,12 +124,12 @@ class LiveFluidEngine:
         self.release_time = np.empty(8, dtype=float)
         self.edge_of: list[int] = []
 
-        # ---- shared component machinery (same class as batch) ---- #
+        # ---- component machinery ---- #
         self.reg = _ComponentRegistry(self.capacities, self.pairs.routes,
                                       self.pairs.cap, lazy=lazy)
         self.reg.bind(self.remaining, self.done_threshold, self.pair_of)
 
-        # ---- task bookkeeping (dict-based _TaskBookkeeping) ---- #
+        # ---- task bookkeeping ---- #
         self.edges: list[tuple[str, str]] = []   # global (namespaced) names
         self.total = 0
         self.exec_time: dict[str, float] = {}
@@ -144,17 +149,20 @@ class LiveFluidEngine:
         self.traces: dict[str, TaskTrace] = {}
         self.flow_traces: list[FlowTrace] = []
         self.check_ready: set[str] = set()
+        # span of the finished tasks, kept as they finish
+        self._first_start = math.inf
+        self._last_finish = -math.inf
 
         # ---- jobs ---- #
         self.jobs: dict[str, LiveJobState] = {}
-        self.job_of_task: dict[str, str] = {}
+        self.job_of_task: dict[str, LiveJobState] = {}
         self._newly_completed: list[str] = []
 
         self.now = 0.0
         self.events = 0
-        self._loop_s = 0.0        # event-loop wall clock (advance/drain)
+        self._loop_s = 0.0        # event-loop wall clock
 
-    # solver counters live on the shared registry
+    # solver counters live on the registry
     @property
     def solves_full(self) -> int:
         return self.reg.solves_full
@@ -184,12 +192,17 @@ class LiveFluidEngine:
         """Add a scheduled job's tasks and flows at virtual time ``at``.
 
         ``at`` must be finite and must not precede the current virtual
-        time; ready source tasks start immediately at ``at``.  Every
-        processor id is checked against the platform, and every edge is
-        expanded into locals, before the job's tasks and flows are
-        recorded: a rejected job leaves nothing behind that could stall
-        later ones.
+        time; ready source tasks start immediately at ``at``.  The
+        schedule must hold at least one task.  Every processor id is
+        checked against the platform, and every edge is expanded into
+        locals, before the job's tasks and flows are recorded: a
+        rejected job leaves nothing behind that could stall later ones.
         """
+        self._inject(job_id, schedule, at, f"{job_id}/")
+
+    def _inject(self, job_id: str, schedule: Schedule, at: float,
+                prefix: str) -> None:
+        """:meth:`inject`, naming the job's tasks ``prefix + task``."""
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
         if not math.isfinite(at) or at < self.now - _TIME_EPS:
@@ -197,6 +210,8 @@ class LiveFluidEngine:
                 f"cannot inject {job_id!r} at t={at} (now={self.now})")
         graph = schedule.graph
         names = graph.task_names()
+        if not names:
+            raise ValueError(f"{job_id!r}: the schedule has no tasks")
         entries = [schedule[n] for n in names]
         n_procs = self.cluster.num_procs
         for e in entries:
@@ -205,10 +220,10 @@ class LiveFluidEngine:
                     raise ValueError(
                         f"{job_id!r}: task {e.task!r} on processor {p}, "
                         f"outside the platform's {n_procs}")
-        gname = {n: f"{job_id}/{n}" for n in names}
+        gname = {n: prefix + n for n in names}
 
-        # expand every edge into staged locals, in the batch _build_flows
-        # order, with pair ids resolved against the shared pair table
+        # expand every edge into staged locals, in graph edge order, with
+        # pair ids resolved against the shared pair table
         staged = _StagedFlows()
         new_edges = [
             (gname[u], gname[v], *self.pairs.expand_edge(
@@ -218,6 +233,8 @@ class LiveFluidEngine:
             [-1] * (len(self.pairs.routes) - len(self.reg.comp_of_pair)))
 
         # ---- commit ---- #
+        job = LiveJobState(job_id=job_id, inject_time=at,
+                           n_tasks=len(names))
         for n, e in zip(names, entries):
             g = gname[n]
             self.exec_time[g] = e.duration
@@ -226,7 +243,7 @@ class LiveFluidEngine:
             self.flows_left[g] = 0
             self.succs[g] = [gname[s] for s in graph.successors(n)]
             self.out_ranges[g] = []
-            self.job_of_task[g] = job_id
+            self.job_of_task[g] = job
         for p, timeline in schedule.proc_timeline().items():
             self.proc_queue.setdefault(p, []).extend(
                 gname[e.task] for e in timeline)
@@ -268,14 +285,17 @@ class LiveFluidEngine:
         self.nf = need
 
         self.total += len(names)
-        self.jobs[job_id] = LiveJobState(job_id=job_id, inject_time=at,
-                                         n_tasks=len(names))
+        self.jobs[job_id] = job
         self.check_ready.update(gname.values())
         self._start_ready(at)
 
     # ------------------------------------------------------------------ #
-    # task bookkeeping (dict-based _TaskBookkeeping methods)
+    # task bookkeeping
     # ------------------------------------------------------------------ #
+    # The replayed runtime semantics: a task starts when it is at the
+    # front of every processor queue it uses, all its predecessors have
+    # finished and all its incoming flows have arrived; an edge's flows
+    # release one route latency after the producer finishes.
     def _at_front(self, name: str) -> bool:
         return all(
             self.queue_pos[p] < len(self.proc_queue[p])
@@ -292,16 +312,20 @@ class LiveFluidEngine:
     def _start_task(self, name: str, now: float) -> None:
         self.started.add(name)
         self.task_start[name] = now
-        job = self.jobs[self.job_of_task[name]]
+        job = self.job_of_task[name]
         if job.start is None:
             job.start = now
         heapq.heappush(self.finish_heap, (now + self.exec_time[name], name))
 
     def _finish_task(self, name: str, now: float) -> None:
         self.done_tasks.add(name)
+        start = self.task_start[name]
         self.traces[name] = TaskTrace(task=name, procs=self.procs_of[name],
-                                      start=self.task_start[name], finish=now)
-        job = self.jobs[self.job_of_task[name]]
+                                      start=start, finish=now)
+        if start < self._first_start:
+            self._first_start = start
+        self._last_finish = now          # the clock never runs backwards
+        job = self.job_of_task[name]
         job.n_done += 1
         if job.n_done == job.n_tasks:
             job.completion = now
@@ -337,6 +361,7 @@ class LiveFluidEngine:
                     finish=now))
 
     def _start_ready(self, now: float) -> None:
+        """Start every newly startable task, clearing the recheck set."""
         for name in self.check_ready:
             if name not in self.started and self._can_start(name):
                 self._start_task(name, now)
@@ -345,84 +370,91 @@ class LiveFluidEngine:
     # ------------------------------------------------------------------ #
     # event loop
     # ------------------------------------------------------------------ #
-    def _peek_time(self) -> float:
-        """Earliest pending event time (inf if idle), skipping stale
-        component-heap entries exactly as the batch loop's peek does."""
-        t_next = self.reg.peek()
-        if self.finish_heap and self.finish_heap[0][0] < t_next:
-            t_next = self.finish_heap[0][0]
-        if self.release_heap and self.release_heap[0][0] < t_next:
-            t_next = self.release_heap[0][0]
-        return t_next
-
-    def _step(self) -> None:
-        """Process every event at ``self.now`` — the batch loop body."""
-        now = self.now
+    def _run(self, until: float) -> None:
+        """Process every pending event at or before ``until`` — all of
+        them when ``until`` is infinite.  The clock ends at the last
+        event processed; idle gaps cost nothing, since components carry
+        their own materialisation times."""
         reg = self.reg
+        peek = reg.peek
+        begin_event = reg.begin_event
+        sweep = reg.sweep
+        release_edge = reg.release_edge
+        resolve = reg.resolve
         finish_heap = self.finish_heap
         release_heap = self.release_heap
+        finish_task = self._finish_task
+        complete_flows = self._complete_flows
+        start_ready = self._start_ready
+        heappop = heapq.heappop
+        inf = math.inf
+        events = self.events
+        # one errstate for the whole loop: projections legitimately
+        # divide by zero/inf rates (instantaneous and stalled flows)
+        old_err = np.seterr(divide="ignore", invalid="ignore")
+        t0 = perf_counter()
+        try:
+            while True:
+                t_next = peek()
+                if finish_heap and finish_heap[0][0] < t_next:
+                    t_next = finish_heap[0][0]
+                if release_heap and release_heap[0][0] < t_next:
+                    t_next = release_heap[0][0]
+                if not t_next <= until or t_next == inf:
+                    break
+                self.now = now = t_next
+                events += 1
+                begin_event()
 
-        self.events += 1
-        reg.begin_event()
+                # 1) flow completions (component sweep + local flows)
+                set_changed = sweep(now, complete_flows)
 
-        # 1) flow completions (component sweep + local flows)
-        set_changed = reg.sweep(now, self._complete_flows)
+                # 2) task completions
+                while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
+                    finish_task(heappop(finish_heap)[1], now)
 
-        # 2) task completions
-        while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-            _, name = heapq.heappop(finish_heap)
-            self._finish_task(name, now)
+                # 3) flow releases, one edge group at a time
+                while release_heap and release_heap[0][0] <= now + _TIME_EPS:
+                    release_edge(heappop(release_heap)[2], now)
+                    set_changed = True
 
-        # 3) flow releases, one edge group at a time
-        while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-            reg.release_edge(heapq.heappop(release_heap)[2], now)
-            set_changed = True
+                # 4) newly startable tasks
+                start_ready(now)
 
-        # 4) newly startable tasks
-        self._start_ready(now)
-
-        # 5) re-solve dirty (lazy) or all live (oracle) components
-        if set_changed:
-            reg.resolve(now)
+                # 5) re-solve dirty (lazy) or all live (oracle) components
+                if set_changed:
+                    resolve(now)
+        finally:
+            self.events = events
+            self._loop_s += perf_counter() - t0
+            np.seterr(**old_err)
 
     # ------------------------------------------------------------------ #
     # public driving interface
     # ------------------------------------------------------------------ #
     def advance_until(self, t: float) -> None:
         """Process every pending event at or before ``t``; the virtual
-        clock ends at ``max(now, t)``.  Idle gaps just advance the clock —
-        components carry their own materialisation times.  A non-finite
-        ``t`` is rejected: the loop would never reach it."""
+        clock ends at ``max(now, t)``.  A non-finite ``t`` is rejected:
+        the loop would never reach it."""
         if not math.isfinite(t):
             raise ValueError(f"cannot advance to non-finite t={t}")
         if t < self.now - _TIME_EPS:
             raise ValueError(f"cannot rewind from t={self.now} to t={t}")
-        t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                t_next = self._peek_time()
-                if t_next > t:
-                    break
-                self.now = t_next
-                self._step()
-        self._loop_s += perf_counter() - t0
+        self._run(t)
         if t > self.now:
             self.now = t
 
     def drain(self) -> None:
         """Run the event loop until every injected task has finished."""
-        t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while len(self.done_tasks) < self.total:
-                t_next = self._peek_time()
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock
-                    raise RuntimeError(
-                        f"simulation stalled at t={self.now:g}: "
-                        f"{self.total - len(self.done_tasks)} tasks never "
-                        f"became runnable")
-                self.now = t_next
-                self._step()
-        self._loop_s += perf_counter() - t0
+        self._drain()
+
+    def _drain(self) -> None:
+        self._run(math.inf)
+        if not self.idle:  # pragma: no cover - deadlock
+            raise RuntimeError(
+                f"simulation stalled at t={self.now:g}: "
+                f"{self.total - len(self.done_tasks)} tasks never became "
+                f"runnable")
 
     def pop_completed_jobs(self) -> list[str]:
         """Job ids that finished since the last call (completion order)."""
@@ -438,5 +470,4 @@ class LiveFluidEngine:
         """Span from the earliest task start to the latest finish."""
         if not self.traces:
             return 0.0
-        return (max(tr.finish for tr in self.traces.values())
-                - min(tr.start for tr in self.traces.values()))
+        return self._last_finish - self._first_start

@@ -20,6 +20,17 @@ Because estimated redistribution times ignore contention while the
 simulation does not, the simulated makespan can exceed the scheduler's
 estimate — the effect §IV-D discusses.
 
+One simulation core
+-------------------
+There is one event loop and one copy of the task and flow bookkeeping:
+:class:`~repro.online.live.LiveFluidEngine`.  :func:`simulate` and
+:class:`FluidSimulator` run the schedule through it as a single job
+injected at t=0 under the schedule's own task names.  This module holds
+what that engine builds on: the pair table and edge expansion, the
+release scheduling, and the component machinery below.  The per-flow
+reference engine, an independent oracle for the golden tests, is
+:mod:`repro.simulation.reference`.
+
 Implementation notes
 --------------------
 A dense 100-task DAG spawns tens of thousands of flows, so per-flow state
@@ -28,8 +39,8 @@ active (src, dst) pairs* with multiplicities
 (:func:`repro.network.maxmin.waterfill_bundled`), as described in
 ``docs/performance.md``.
 
-The default engine additionally maintains the active pairs as
-**link-connected components** (SimGrid-style lazy fluid model updates):
+The engine maintains the active pairs as **link-connected components**
+(SimGrid-style lazy fluid model updates):
 
 * a union-find over shared links groups active pairs into components;
   components merge when a newly released pair bridges them and dissolve
@@ -70,9 +81,7 @@ component at every flow-set change; since the extra solves see identical
 inputs they produce identical rates, which makes the two modes
 **byte-identical** (asserted by the property tests) while ``lazy=False``
 actually performs the full-solve work and is therefore a true oracle for
-the dirty-tracking.  ``use_bundling=False`` selects the original
-per-flow solver and global scan loop — the reference implementation kept
-as the end-to-end equivalence oracle for the golden tests.
+the dirty-tracking.
 """
 
 from __future__ import annotations
@@ -85,9 +94,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.dag.task import TaskGraph
 from repro.network.maxmin import dsu_find, waterfill_bundled
-from repro.platforms.cluster import Cluster
 from repro.redistribution.matrix import _comm_matrix_entries
 from repro.scheduling.schedule import Schedule
 from repro.simulation.trace import FlowTrace, TaskTrace
@@ -108,8 +115,9 @@ class SimulationResult:
     ``solves_full`` counts the events at which an eager engine re-solves
     the whole active flow set (every flow-set change); ``solves_component``
     counts the component-scoped solver invocations the engine actually
-    performed.  On the reference per-flow path ``solves_component`` is 0
-    and ``maxmin_solves == solves_full``; on the component engine
+    performed.  On the per-flow reference engine
+    (:mod:`repro.simulation.reference`) ``solves_component`` is 0 and
+    ``maxmin_solves == solves_full``; on the component engine
     ``maxmin_solves == solves_component``, and the lazy path's saving is
     visible as ``solves_component`` falling below ``lazy=False``'s count
     (down to well under one solve per event when components decouple).
@@ -141,73 +149,6 @@ class SimulationResult:
             out.add(ScheduleEntry(task=name, procs=tr.procs,
                                   start=tr.start, finish=tr.finish))
         return out
-
-
-def _waterfill(entry_links: np.ndarray, entry_flow: np.ndarray,
-               n_flows: int, capacities: np.ndarray,
-               caps: np.ndarray) -> np.ndarray:
-    """Max-Min rates by simultaneous waterfilling.
-
-    ``entry_links`` / ``entry_flow`` give the (link, flow) incidence of the
-    ``n_flows`` flows under consideration, with flow ids in ``[0, n_flows)``.
-    Per-flow ``caps`` bound individual rates (the TCP window cap).
-    Semantics match :func:`repro.network.maxmin.maxmin_rates`; links whose
-    fair-share level ties with the minimum freeze *together*, which keeps
-    the iteration count small on homogeneous-capacity networks.
-    """
-    n_links = len(capacities)
-    rates = np.zeros(n_flows)
-    fixed = np.zeros(n_flows, dtype=bool)
-    residual = capacities.copy()
-
-    for _ in range(n_links + n_flows + 1):
-        live = ~fixed[entry_flow]
-        if not live.any():
-            break
-        counts = np.bincount(entry_links[live], minlength=n_links)
-        busy = counts > 0
-        levels = np.full(n_links, np.inf)
-        levels[busy] = residual[busy] / counts[busy]
-        min_level = float(levels.min())
-
-        unfixed_caps = np.where(fixed, np.inf, caps)
-        min_cap = float(unfixed_caps.min())
-
-        if min_cap < min_level * (1 - 1e-12):
-            # cap-limited flows freeze at their cap
-            to_fix = np.where(unfixed_caps <= min_cap * (1 + 1e-12))[0]
-            rates[to_fix] = caps[to_fix]
-        else:
-            if not math.isfinite(min_level):
-                break
-            min_links = levels <= min_level * (1 + 1e-12)
-            sel = min_links[entry_links] & live
-            to_fix = np.unique(entry_flow[sel])
-            rates[to_fix] = min_level
-        fixed[to_fix] = True
-        dec = np.isin(entry_flow, to_fix)
-        np.subtract.at(residual, entry_links[dec], rates[entry_flow[dec]])
-        np.maximum(residual, 0.0, out=residual)
-
-    # safety net: anything left over is cap-limited
-    rates[~fixed] = caps[~fixed]
-    return rates
-
-
-def _csr_gather(flat: np.ndarray, ptr: np.ndarray,
-                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the CSR rows ``rows``; returns (entries, row lengths)."""
-    starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat.dtype), lens
-    # positions of each row's entries in the output are contiguous
-    cum = np.zeros(len(rows), dtype=np.intp)
-    np.cumsum(lens[:-1], out=cum[1:])
-    idx = (np.arange(total, dtype=np.intp)
-           - np.repeat(cum, lens) + np.repeat(starts, lens))
-    return flat[idx], lens
 
 
 def _grow(arr: np.ndarray, need: int) -> np.ndarray:
@@ -542,21 +483,20 @@ class _Component:
 
 
 class _ComponentRegistry:
-    """The link-connected component machinery shared by both engines.
+    """The link-connected component machinery of the fluid engine.
 
     Owns the union-find over component ids, per-link ownership, the
     component event heap and the local (route-less) flow pseudo-heap, and
     performs the event-loop phases that touch components: the completion
     sweep (:meth:`sweep`), edge releases (:meth:`release_edge`) and the
-    re-solve (:meth:`resolve`).  The batch :class:`FluidSimulator` and
-    the online :class:`~repro.online.live.LiveFluidEngine` both drive
-    this one implementation, so the two engines cannot drift apart.
+    re-solve (:meth:`resolve`) — driven by
+    :class:`~repro.online.live.LiveFluidEngine`'s event loop.
 
     ``remaining`` / ``done_threshold`` / ``pair_of`` are *bound* by the
     owning engine (and re-bound after amortised growth): the registry
     always reads the arrays the engine currently owns.  ``pair_routes`` /
-    ``pair_cap`` are held by reference too — the live engine appends to
-    them on inject.
+    ``pair_cap`` are held by reference too — the engine appends to them
+    on inject.
     """
 
     def __init__(self, capacities: np.ndarray, pair_routes, pair_cap, *,
@@ -1197,405 +1137,63 @@ class _ComponentRegistry:
         self.push_comp(comp)
 
 
-class _TaskBookkeeping:
-    """Task-readiness and trace scaffolding shared by both engines.
-
-    The replayed runtime semantics — a task starts when it is at the
-    front of every processor queue, all predecessors finished and all
-    incoming flows arrived; flows release one latency after the producer
-    finishes — live here once, so the lazy component engine and the
-    per-flow reference oracle cannot drift apart.
-    """
-
-    def __init__(self, sim: "FluidSimulator", fl: dict) -> None:
-        graph, schedule = sim.graph, sim.schedule
-        self.graph = graph
-        self.collect_flow_traces = sim.collect_flow_traces
-        self.fl = fl
-        self.edges = fl["edges"]
-        names = graph.task_names()
-        self.total = graph.num_tasks
-        self.exec_time = {n: schedule[n].duration for n in names}
-        self.procs_of = {n: schedule[n].procs for n in names}
-        self.proc_queue: dict[int, list[str]] = {
-            p: [e.task for e in entries]
-            for p, entries in schedule.proc_timeline().items()
-        }
-        self.queue_pos: dict[int, int] = {p: 0 for p in self.proc_queue}
-        self.preds_left = {n: len(graph.predecessors(n)) for n in names}
-        # flows (hence bytes) still missing per consumer task, and each
-        # producer's out-edges as flow-id ranges (released on completion)
-        self.flows_left: dict[str, int] = {n: 0 for n in names}
-        self.out_ranges: dict[str, list[tuple[int, int]]] = {
-            n: [] for n in names}
-        for (u, v), (lo, hi) in zip(self.edges, fl["edge_range"]):
-            if hi > lo:
-                self.flows_left[v] += hi - lo
-                self.out_ranges[u].append((lo, hi))
-        self.edge_of: list[int] = fl["edge_of"]
-        self.release_time = np.full(len(fl["size"]), np.inf)
-        self.started: set[str] = set()
-        self.done: set[str] = set()
-        self.task_start: dict[str, float] = {}
-        self.finish_heap: list[tuple[float, str]] = []
-        # (time, first flow id, flow ids): see _push_release
-        self.release_heap: list[tuple[float, int, np.ndarray]] = []
-        self.traces: dict[str, TaskTrace] = {}
-        self.flow_traces: list[FlowTrace] = []
-        # candidates whose readiness must be rechecked after an event
-        self.check_ready: set[str] = set(names)
-
-    # ------------------------------------------------------------------ #
-    def at_front(self, name: str) -> bool:
-        return all(
-            self.queue_pos[p] < len(self.proc_queue[p])
-            and self.proc_queue[p][self.queue_pos[p]] == name
-            for p in self.procs_of[name]
-        )
-
-    def can_start(self, name: str) -> bool:
-        return (name not in self.started
-                and self.preds_left[name] == 0
-                and self.flows_left[name] == 0
-                and self.at_front(name))
-
-    def start_task(self, name: str, now: float) -> None:
-        self.started.add(name)
-        self.task_start[name] = now
-        heapq.heappush(self.finish_heap, (now + self.exec_time[name], name))
-
-    def finish_task(self, name: str, now: float) -> None:
-        self.done.add(name)
-        self.traces[name] = TaskTrace(task=name, procs=self.procs_of[name],
-                                      start=self.task_start[name], finish=now)
-        for p in self.procs_of[name]:
-            self.queue_pos[p] += 1
-            pos = self.queue_pos[p]
-            if pos < len(self.proc_queue[p]):
-                self.check_ready.add(self.proc_queue[p][pos])
-        for succ in self.graph.successors(name):
-            self.preds_left[succ] -= 1
-            self.check_ready.add(succ)
-        lat = self.fl["lat"]
-        for lo, hi in self.out_ranges[name]:
-            _push_release(self.release_heap, self.release_time, lat,
-                          lo, hi, now)
-
-    def complete_flows(self, fids: list[int], now: float) -> None:
-        """Flows ``fids`` (ascending) completed at ``now``."""
-        edges = self.edges
-        edge_of = self.edge_of
-        for eid, n in _edge_counts(fids, edge_of):
-            consumer = edges[eid][1]
-            self.flows_left[consumer] -= n
-            self.check_ready.add(consumer)
-        if self.collect_flow_traces:
-            fl = self.fl
-            for fid in fids:
-                self.flow_traces.append(FlowTrace(
-                    edge=edges[edge_of[fid]],
-                    src=int(fl["src"][fid]),
-                    dst=int(fl["dst"][fid]),
-                    data_bytes=float(fl["size"][fid]),
-                    release=float(self.release_time[fid]),
-                    finish=now))
-
-    def start_ready(self, now: float) -> None:
-        """Start every newly startable task, clearing the recheck set."""
-        for name in self.check_ready:
-            if name not in self.started and self.can_start(name):
-                self.start_task(name, now)
-        self.check_ready.clear()
-
-    def makespan(self) -> float:
-        return (max(tr.finish for tr in self.traces.values())
-                - min(tr.start for tr in self.traces.values()))
 
 
 class FluidSimulator:
     """Simulate one schedule on its cluster.
 
+    A batch run is the :class:`~repro.online.live.LiveFluidEngine` with
+    one job: the schedule is injected at t=0 under its own task names
+    and drained.
+
     Parameters
     ----------
     schedule:
-        A complete, valid schedule (see :meth:`Schedule.validate`).
+        A complete, valid schedule (see :meth:`Schedule.validate`) with
+        at least one task.
     collect_flow_traces:
         Keep per-flow trace records (off by default: a 100-task DAG can
         spawn tens of thousands of flows).
-    use_bundling:
-        Solve Max-Min rates over unique (src, dst) route bundles with
-        multiplicities (the fast path, on by default).  ``False`` runs the
-        original per-flow waterfilling and global-scan loop — the
-        reference implementation the golden equivalence tests compare
-        against (``lazy`` is then ignored).
     lazy:
-        On the bundled engine, re-solve only the link-connected components
-        an event touched (default).  ``lazy=False`` re-solves every live
-        component at every flow-set change — byte-identical traces, kept
-        as the full-solve equivalence oracle.
+        Re-solve only the link-connected components an event touched
+        (default).  ``lazy=False`` re-solves every live component at
+        every flow-set change — byte-identical traces, kept as the
+        full-solve equivalence oracle.  The per-flow reference engine is
+        :func:`repro.simulation.reference.simulate_reference`.
     """
 
     def __init__(self, schedule: Schedule, *,
                  collect_flow_traces: bool = False,
-                 use_bundling: bool = True,
                  lazy: bool = True) -> None:
         self.schedule = schedule
-        self.graph: TaskGraph = schedule.graph
-        self.cluster: Cluster = schedule.cluster
         self.collect_flow_traces = collect_flow_traces
-        self.use_bundling = use_bundling
         self.lazy = lazy
 
-    # ------------------------------------------------------------------ #
-    def _build_flows(self):
-        """Expand every edge into a contiguous flow-id range; returns the
-        global flow arrays, the pair table and each edge's range."""
-        schedule = self.schedule
-        pairs = _PairTable(self.cluster.topology)
-        staged = _StagedFlows()
-        edges: list[tuple[str, str]] = []
-        edge_range: list[tuple[int, int]] = []
-        edge_of: list[int] = []
-        for u, v, data in self.graph.edges():
-            lo, hi = pairs.expand_edge(schedule[u].procs, schedule[v].procs,
-                                       data, staged)
-            edge_of.extend([len(edges)] * (hi - lo))
-            edges.append((u, v))
-            edge_range.append((lo, hi))
-
-        pair_of = np.array(staged.pid, dtype=np.intp)
-        return {
-            "src": np.array(staged.src, dtype=np.intp),
-            "dst": np.array(staged.dst, dtype=np.intp),
-            "size": np.array(staged.size, dtype=float),
-            "lat": np.array(pairs.lat, dtype=float)[pair_of],
-            "pair_of": pair_of,
-            "pair_cap": np.array(pairs.cap, dtype=float),
-            "pair_routes": pairs.routes,
-            "edges": edges,
-            "edge_range": edge_range,
-            "edge_of": edge_of,
-        }
-
-    # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
-        if self.use_bundling:
-            return self._run_component()
-        return self._run_reference()
+        # deferred: the engine module builds on this one
+        from repro.online.live import LiveFluidEngine
 
-    # ================================================================== #
-    # component engine (use_bundling=True)
-    # ================================================================== #
-    def _run_component(self) -> SimulationResult:
-        topo = self.cluster.topology
-        capacities = topo.capacity_array
-
-        fl = self._build_flows()
-        tb = _TaskBookkeeping(self, fl)
-
-        size = fl["size"]
-        reg = _ComponentRegistry(capacities, fl["pair_routes"],
-                                 fl["pair_cap"], lazy=self.lazy)
-        reg.bind(size.copy(), np.maximum(size * _REL_BYTES_EPS, 1e-12),
-                 fl["pair_of"])
-
-        # ---------------- event loop ---------------- #
-        now = 0.0
-        events = 0
-        tb.start_ready(now)  # prime
-
-        total = tb.total
-        finish_heap = tb.finish_heap
-        release_heap = tb.release_heap
-        complete_flows = tb.complete_flows
-        old_err = np.seterr(divide="ignore", invalid="ignore")
-        t_loop = perf_counter()
-        try:
-            while len(tb.done) < total:
-                t_next = reg.peek()
-                if finish_heap and finish_heap[0][0] < t_next:
-                    t_next = finish_heap[0][0]
-                if release_heap and release_heap[0][0] < t_next:
-                    t_next = release_heap[0][0]
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock
-                    raise RuntimeError(
-                        f"simulation stalled at t={now:g}: "
-                        f"{total - len(tb.done)} tasks never became runnable")
-                now = t_next
-                events += 1
-                reg.begin_event()
-
-                # 1) flow completions (component sweep + local flows)
-                set_changed = reg.sweep(now, complete_flows)
-
-                # 2) task completions
-                while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-                    _, name = heapq.heappop(finish_heap)
-                    tb.finish_task(name, now)
-
-                # 3) flow releases, one edge group at a time
-                while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    reg.release_edge(heapq.heappop(release_heap)[2], now)
-                    set_changed = True
-
-                # 4) newly startable tasks
-                tb.start_ready(now)
-
-                # 5) re-solve dirty (lazy) or all live (oracle) components
-                if set_changed:
-                    reg.resolve(now)
-
-        finally:
-            np.seterr(**old_err)
-        loop_s = perf_counter() - t_loop
-
+        schedule = self.schedule
+        engine = LiveFluidEngine(schedule.cluster,
+                                 collect_flow_traces=self.collect_flow_traces,
+                                 lazy=self.lazy)
+        # the bodies of inject() and drain(): see LiveFluidEngine
+        engine._inject(schedule.graph.name, schedule, 0.0, "")
+        engine._drain()
         return SimulationResult(
-            makespan=tb.makespan(),
-            task_traces=tb.traces,
-            flow_traces=tb.flow_traces,
-            events=events,
-            maxmin_solves=reg.solves_component,
-            solves_full=reg.solves_full,
-            solves_component=reg.solves_component,
-            solve_rows=reg.solve_rows,
-            solve_s=reg.solve_s,
-            event_s=loop_s - reg.solve_s,
-        )
-
-    # ================================================================== #
-    # reference per-flow engine (use_bundling=False)
-    # ================================================================== #
-    def _run_reference(self) -> SimulationResult:
-        graph, cluster = self.graph, self.cluster
-        topo = cluster.topology
-        capacities = topo.capacity_array
-
-        fl = self._build_flows()
-        tb = _TaskBookkeeping(self, fl)
-        n_flows = len(fl["size"])
-
-        remaining = fl["size"].copy()
-        rates = np.zeros(n_flows)
-        done_threshold = np.maximum(fl["size"] * _REL_BYTES_EPS, 1e-12)
-
-        # reference path: expand the per-flow (link, flow) incidence and
-        # rate caps from the pairs' routes (CSR) and caps
-        pair_of = fl["pair_of"]
-        flow_cap = fl["pair_cap"][pair_of]
-        pair_routes = fl["pair_routes"]
-        pair_lens = np.array([len(r) for r in pair_routes], dtype=np.intp)
-        pair_ptr = np.zeros(len(pair_routes) + 1, dtype=np.intp)
-        np.cumsum(pair_lens, out=pair_ptr[1:])
-        pair_links_flat = np.fromiter(
-            (li for r in pair_routes for li in r),
-            dtype=np.intp, count=int(pair_lens.sum()))
-        links_flat, _ = _csr_gather(pair_links_flat, pair_ptr, pair_of)
-        links_flow = np.repeat(
-            np.arange(n_flows, dtype=np.intp),
-            pair_ptr[pair_of + 1] - pair_ptr[pair_of])
-
-        now = 0.0
-        events = 0
-        solves = 0
-
-        active_idx = np.empty(0, dtype=np.intp)  # ids of active flows
-        next_completion = math.inf
-        finish_heap = tb.finish_heap
-        release_heap = tb.release_heap
-
-        def recompute_rates() -> None:
-            nonlocal solves, next_completion
-            solves += 1
-            if len(active_idx) == 0:
-                next_completion = math.inf
-                return
-            # compact incidence restricted to the active flows
-            # (active_idx kept sorted on this path)
-            active_mask = np.zeros(n_flows, dtype=bool)
-            active_mask[active_idx] = True
-            sel = active_mask[links_flow]
-            compact_flow = np.searchsorted(active_idx, links_flow[sel])
-            r = _waterfill(links_flat[sel], compact_flow, len(active_idx),
-                           capacities, flow_cap[active_idx])
-            rates[active_idx] = r
-            etas = remaining[active_idx] / rates[active_idx]
-            next_completion = now + float(etas.min())
-
-        tb.start_ready(now)  # prime
-
-        total = tb.total
-        # a single errstate for the whole loop: etas legitimately divide
-        # by zero/inf rates (instantaneous and stalled flows)
-        old_err = np.seterr(divide="ignore", invalid="ignore")
-        try:
-            while len(tb.done) < total:
-                t_candidates = [next_completion]
-                if finish_heap:
-                    t_candidates.append(finish_heap[0][0])
-                if release_heap:
-                    t_candidates.append(release_heap[0][0])
-                t_next = min(t_candidates)
-                if not math.isfinite(t_next):  # pragma: no cover - deadlock guard
-                    raise RuntimeError(
-                        f"simulation stalled at t={now:g}: "
-                        f"{total - len(tb.done)} tasks never became runnable")
-                dt = max(0.0, t_next - now)
-
-                if dt > 0 and len(active_idx):
-                    remaining[active_idx] -= rates[active_idx] * dt
-                now = t_next
-                events += 1
-                set_changed = False
-
-                # 1) flow completions
-                if len(active_idx):
-                    done_sel = remaining[active_idx] <= done_threshold[active_idx]
-                    if done_sel.any():
-                        finished = active_idx[done_sel]
-                        active_idx = active_idx[~done_sel]
-                        remaining[finished] = 0.0
-                        set_changed = True
-                        tb.complete_flows(finished.tolist(), now)
-
-                # 2) task completions
-                while finish_heap and finish_heap[0][0] <= now + _TIME_EPS:
-                    _, name = heapq.heappop(finish_heap)
-                    tb.finish_task(name, now)
-
-                # 3) flow releases
-                newly_active: list[np.ndarray] = []
-                while release_heap and release_heap[0][0] <= now + _TIME_EPS:
-                    newly_active.append(heapq.heappop(release_heap)[2])
-                if newly_active:
-                    active_idx = np.sort(np.concatenate(
-                        [active_idx, *newly_active]))
-                    set_changed = True
-
-                # 4) newly startable tasks
-                tb.start_ready(now)
-
-                if set_changed:
-                    recompute_rates()
-                elif len(active_idx):
-                    etas = remaining[active_idx] / rates[active_idx]
-                    next_completion = now + float(etas.min())
-                else:
-                    next_completion = math.inf
-
-        finally:
-            np.seterr(**old_err)
-
-        return SimulationResult(
-            makespan=tb.makespan(),
-            task_traces=tb.traces,
-            flow_traces=tb.flow_traces,
-            events=events,
-            maxmin_solves=solves,
-            solves_full=solves,
-            solves_component=0,
+            makespan=engine.makespan(),
+            task_traces=engine.traces,
+            flow_traces=engine.flow_traces,
+            events=engine.events,
+            maxmin_solves=engine.solves_component,
+            solves_full=engine.solves_full,
+            solves_component=engine.solves_component,
+            solve_rows=engine.solve_rows,
+            solve_s=engine.solve_s,
+            event_s=engine.event_s,
         )
 
 
 def simulate(schedule: Schedule, **kwargs) -> SimulationResult:
-    """Convenience wrapper: ``FluidSimulator(schedule).run()``."""
+    """Convenience wrapper: ``FluidSimulator(schedule, **kwargs).run()``."""
     return FluidSimulator(schedule, **kwargs).run()

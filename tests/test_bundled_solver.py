@@ -2,10 +2,10 @@
 
 Three solvers must agree on every flow set: the reference
 :func:`maxmin_rates` (progressive filling over hashable links), the
-simulator's per-flow :func:`_waterfill`, and the bundled
+reference engine's per-flow :func:`_waterfill`, and the bundled
 :func:`maxmin_rates_bundled` / :func:`waterfill_bundled` fast path.  The
 golden tests additionally pin the simulator's end-to-end behaviour: the
-bundled fast path must reproduce the pre-optimization reference path
+bundled fast path must reproduce the per-flow reference engine
 event-for-event.
 """
 
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.network.maxmin import (
     maxmin_rates,
     maxmin_rates_bundled,
-    maxmin_rates_indexed,
     waterfill_bundled,
 )
-from repro.simulation.simulator import FluidSimulator, _waterfill
+from repro.simulation.reference import _waterfill, simulate_reference
+from repro.simulation.simulator import FluidSimulator
 
 
 @st.composite
@@ -65,14 +65,6 @@ class TestBundledSolverEquivalence:
         routes, capacities, caps = problem
         fast = maxmin_rates_bundled(routes, capacities, caps)
         ref = _reference_rates(routes, capacities, caps)
-        np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
-
-    @settings(max_examples=120, deadline=None)
-    @given(shared_route_problems())
-    def test_bundled_matches_indexed(self, problem):
-        routes, capacities, caps = problem
-        fast = maxmin_rates_bundled(routes, capacities, caps)
-        ref = maxmin_rates_indexed(routes, capacities, caps)
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-9)
 
     @settings(max_examples=120, deadline=None)
@@ -129,48 +121,22 @@ class TestBundledSolverEquivalence:
         assert len(maxmin_rates_bundled([], np.array([1.0]))) == 0
 
     def test_cap_fix_uses_csr_offsets(self):
-        """maxmin_rates_indexed cap branch: shared-route capped flows."""
+        """Capped flows on overlapping CSR routes freeze at their caps."""
         capacities = np.array([10.0, 10.0, 10.0])
         routes = [[0, 1], [1, 2], [0, 2], [1]]
         caps = np.array([1.0, 2.0, np.inf, np.inf])
-        got = maxmin_rates_indexed(routes, capacities, caps)
+        got = maxmin_rates_bundled(routes, capacities, caps)
         ref = _reference_rates(routes, capacities, caps)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 class TestIndexedKernelParity:
-    """The compiled per-flow solver must equal numpy to the bit (PR 7)."""
-
-    def test_indexed_kernel_matches_numpy_bitwise(self):
-        from repro.network import _ckernel, maxmin
-
-        if maxmin._indexed_kernel() is None:
-            pytest.skip(f"no compiled kernel ({_ckernel.kernel_status})")
-        rng = np.random.default_rng(11)
-        for _ in range(120):
-            n_links = int(rng.integers(1, 30))
-            capacities = rng.uniform(0.5, 100.0, n_links)
-            n = int(rng.integers(0, 40))
-            routes = [list(rng.integers(0, n_links,
-                                        int(rng.integers(0, 5))))
-                      for _ in range(n)]
-            caps = np.where(rng.random(n) < 0.4,
-                            rng.uniform(0.01, 20.0, n), np.inf)
-            fast = maxmin.maxmin_rates_indexed(routes, capacities, caps)
-            saved = maxmin._INDEXED_KERNEL
-            try:
-                maxmin._INDEXED_KERNEL = None
-                slow = maxmin.maxmin_rates_indexed(routes, capacities,
-                                                   caps)
-            finally:
-                maxmin._INDEXED_KERNEL = saved
-            assert fast.tobytes() == slow.tobytes()
+    """The kernel loaders honour the kill switch and load together."""
 
     def test_kill_switch_disables_indexed_kernel(self, monkeypatch):
         from repro.network import _ckernel
 
         monkeypatch.setenv("REPRO_NO_C_KERNEL", "1")
-        assert _ckernel.load_indexed_kernel() is None
         assert _ckernel.load_kernel() is None
         assert "REPRO_NO_C_KERNEL" in _ckernel.kernel_status
 
@@ -178,12 +144,11 @@ class TestIndexedKernelParity:
         from repro.network import _ckernel
 
         status = _ckernel.warm()
-        assert set(status) == {"waterfill", "maxmin_indexed",
-                               "waterfill_batch", "sweep_comp", "status"}
+        assert set(status) == {"waterfill", "waterfill_batch",
+                               "sweep_comp", "status"}
         # every entry point lives in the one shared object, so they are
         # all available or none is — the batch and sweep kernels must
         # precompile exactly when the original waterfill kernel does
-        assert status["waterfill"] == status["maxmin_indexed"]
         assert status["waterfill"] == status["waterfill_batch"]
         assert status["waterfill"] == status["sweep_comp"]
 
@@ -209,8 +174,8 @@ class TestGoldenSimulation:
     def test_bundled_equals_reference_path(self):
         """The fast path must replay the reference path event-for-event."""
         schedule = _schedule_for(40)
-        ref = FluidSimulator(schedule, use_bundling=False).run()
-        fast = FluidSimulator(schedule, use_bundling=True).run()
+        ref = simulate_reference(schedule)
+        fast = FluidSimulator(schedule).run()
         assert fast.events == ref.events
         # the component engine performs component-scoped solves, but the
         # set-change events (what an eager engine solves at) must agree

@@ -8,13 +8,14 @@ engines must reproduce it byte-for-byte:
 * the bundled lazy engine (the default fast path),
 * the bundled full-solve oracle (``lazy=False``),
 * the online :class:`~repro.online.live.LiveFluidEngine`, primed with the
-  whole schedule at t=0 (the online/batch equivalence bridge).
+  whole schedule at t=0 under a job id (the online/batch equivalence
+  bridge: ``simulate`` runs the same engine with unprefixed task names).
 
-The per-flow reference engine (``use_bundling=False``) must agree on
-every task event, the makespan and the event count; its flow *finish*
-times may legitimately straddle one ulp on numerically symmetric
-redistribution halves (see the bench scenario's docstring), so they are
-compared to within one such spacing instead of exactly.
+The per-flow reference engine (:mod:`repro.simulation.reference`) must
+agree on every task event, the makespan and the event count; its flow
+*finish* times may legitimately straddle one ulp on numerically
+symmetric redistribution halves (see the bench scenario's docstring), so
+they are compared to within one such spacing instead of exactly.
 
 If an intentional engine change alters the trace, regenerate the golden
 with ``python tests/test_golden_traces.py`` and commit the diff.
@@ -28,6 +29,7 @@ from pathlib import Path
 from repro.experiments.bench import sparse_multicluster_schedule
 from repro.online.live import LiveFluidEngine
 from repro.simulation import SimulationResult, canonical_event_trace, simulate
+from repro.simulation.reference import simulate_reference
 
 GOLDEN = Path(__file__).parent / "golden" / "sparse_multicluster_events.json"
 
@@ -77,8 +79,7 @@ def test_live_engine_replays_golden_exactly():
 
 def test_reference_engine_matches_golden_to_one_ulp():
     golden = _golden()
-    res = simulate(_schedule(), collect_flow_traces=True,
-                   use_bundling=False)
+    res = simulate_reference(_schedule(), collect_flow_traces=True)
     trace = canonical_event_trace(res)
     assert trace["tasks"] == golden["tasks"]
     assert trace["makespan"] == golden["makespan"]

@@ -7,7 +7,8 @@ the eager engines it replaced:
   oracle re-solves every live component at each flow-set change, but the
   extra solves see identical inputs, so every trace float must match
   exactly;
-* vs ``use_bundling=False`` — the original per-flow reference engine:
+* vs :func:`~repro.simulation.reference.simulate_reference` — the
+  per-flow reference engine:
   task traces agree within 1e-9 (event *coalescing* may legitimately
   differ: the reference's global byte-threshold sweep can merge
   completions of *independent* components that land within one another's
@@ -34,6 +35,7 @@ from repro.platforms.grid5000 import CHTI, GRELON
 from repro.scheduling.allocation import hcpa_allocation
 from repro.scheduling.mapping import ListScheduler
 from repro.scheduling.schedule import Schedule, ScheduleEntry
+from repro.simulation.reference import simulate_reference
 from repro.simulation.simulator import FluidSimulator
 
 
@@ -47,7 +49,7 @@ def _schedule_for_scenario(scenario: Scenario, cluster):
 def _run_all_engines(schedule, **kwargs):
     lazy = FluidSimulator(schedule, lazy=True, **kwargs).run()
     full = FluidSimulator(schedule, lazy=False, **kwargs).run()
-    ref = FluidSimulator(schedule, use_bundling=False, **kwargs).run()
+    ref = simulate_reference(schedule, **kwargs)
     return lazy, full, ref
 
 
@@ -223,7 +225,7 @@ class TestSparseMulticluster:
 class TestSolveCounters:
     def test_reference_counters(self):
         schedule = dense_dag_schedule(16, density=0.5)
-        ref = FluidSimulator(schedule, use_bundling=False).run()
+        ref = simulate_reference(schedule)
         assert ref.solves_component == 0
         assert ref.solves_full == ref.maxmin_solves > 0
 
@@ -291,40 +293,3 @@ class TestCompiledKernelParity:
             finally:
                 maxmin._C_KERNEL = saved
             np.testing.assert_array_equal(fast, slow)
-
-
-class TestComponentDecomposition:
-    def test_bundle_components_labels(self):
-        from repro.network.maxmin import bundle_components
-
-        # bundles: {0,1} share link 3; {2} isolated; {3} empty route
-        flat = np.array([0, 3, 3, 1, 2], dtype=np.intp)
-        ptr = np.array([0, 2, 4, 5, 5], dtype=np.intp)
-        labels = bundle_components(flat, ptr)
-        assert labels[0] == labels[1]
-        assert labels[2] not in (labels[0], labels[3])
-        assert labels[3] not in (labels[0], labels[2])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_by_component_solve_equals_global(self, data):
-        from repro.network.maxmin import (
-            waterfill_bundled,
-            waterfill_bundled_by_component,
-        )
-
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n_links = int(rng.integers(2, 10))
-        n_b = int(rng.integers(1, 20))
-        lens = rng.integers(0, 3, n_b)
-        ptr = np.zeros(n_b + 1, dtype=np.intp)
-        np.cumsum(lens, out=ptr[1:])
-        flat = rng.integers(0, n_links, int(ptr[-1])).astype(np.intp)
-        mult = rng.integers(1, 5, n_b).astype(np.intp)
-        caps = np.where(rng.random(n_b) < 0.4,
-                        rng.uniform(0.1, 20.0, n_b), np.inf)
-        capacities = rng.uniform(0.5, 50.0, n_links)
-        whole = waterfill_bundled(flat, ptr, mult, capacities, caps)
-        split = waterfill_bundled_by_component(flat, ptr, mult, capacities,
-                                               caps)
-        np.testing.assert_allclose(split, whole, rtol=1e-9, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.maxmin import maxmin_rates, maxmin_rates_indexed
+from repro.network.maxmin import maxmin_rates, maxmin_rates_bundled
 
 
 class TestExactCases:
@@ -99,13 +99,14 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     @given(flow_problems())
     def test_indexed_matches_reference(self, problem):
-        """The vectorised solver must agree with the reference solver."""
+        """The vectorised solver over integer link ids (the bundled one)
+        must agree with the reference solver."""
         routes, capacities = problem
         link_ids = sorted(capacities)
         index = {l: i for i, l in enumerate(link_ids)}
         cap_arr = np.array([capacities[l] for l in link_ids])
         ref = maxmin_rates(routes, capacities)
-        fast = maxmin_rates_indexed(
+        fast = maxmin_rates_bundled(
             [[index[l] for l in r] for r in routes], cap_arr)
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-12)
 
@@ -118,7 +119,7 @@ class TestProperties:
         cap_arr = np.array([capacities[l] for l in link_ids])
         caps = [cap] * len(routes)
         ref = maxmin_rates(routes, capacities, rate_caps=caps)
-        fast = maxmin_rates_indexed(
+        fast = maxmin_rates_bundled(
             [[index[l] for l in r] for r in routes], cap_arr,
             np.array(caps))
         np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-12)

@@ -53,6 +53,9 @@ class TestBatchEquivalence:
             for tr in eng.traces.values()
         }
         assert stripped == batch.task_traces
+        # batch traces carry the schedule's own names, in finish order
+        assert list(stripped) == list(batch.task_traces)
+        assert set(batch.task_traces) == set(sched.graph.task_names())
         live_flows = [
             dataclasses.replace(fl, edge=(fl.edge[0].split("/", 1)[1],
                                           fl.edge[1].split("/", 1)[1]))
@@ -236,6 +239,48 @@ class TestEngineGuards:
         assert eng.events == fresh.events
         assert eng.traces == fresh.traces
         assert eng.flow_traces == fresh.flow_traces
+
+    def test_failed_submit_leaves_no_job_id(self):
+        """A job that fails to schedule can be resubmitted under its id,
+        and counts once."""
+        sim = OnlineSimulator(GRILLON)
+        bad_fft = Scenario(family="fft", sample=0, k=3)   # k not 2^n
+        with pytest.raises(ValueError, match="power of two"):
+            sim.submit(JobArrival("x", 0.0, bad_fft, HCPA))
+        assert sim.records() == [] and not sim.residual_state().in_flight
+        assert sim.residual_state().proc_avail == [0.0] * GRILLON.num_procs
+        strassen = Scenario(family="strassen", sample=0, k=2)
+        assert sim.submit(JobArrival("x", 5.0, strassen, HCPA))
+        sim.drain()
+        [record] = sim.records()
+        assert record.job_id == "x" and record.finished
+        assert sim.result().metrics.n_jobs == 1
+
+    def test_empty_schedule_is_rejected(self):
+        """A job with no tasks would never finish: inject refuses it
+        before touching any state."""
+        from repro.dag.task import TaskGraph
+        from repro.scheduling.schedule import Schedule
+
+        empty = Schedule(graph=TaskGraph(name="empty"), cluster=GRILLON)
+        eng = LiveFluidEngine(GRILLON)
+        with pytest.raises(ValueError, match="no tasks"):
+            eng.inject("e", empty, 0.0)
+        assert not eng.jobs and eng.total == 0 and eng.idle
+        eng.inject("e", _batch_schedule(), 0.0)
+        eng.drain()
+        assert eng.pop_completed_jobs() == ["e"]
+
+    def test_makespan_spans_every_finished_task(self):
+        eng = LiveFluidEngine(GRILLON)
+        assert eng.makespan() == 0.0
+        for job in _small_stream(n=3, rate=0.05):
+            eng.advance_until(job.arrival_time)
+            eng.inject(job.job_id, _batch_schedule(), job.arrival_time)
+        eng.drain()
+        traces = eng.traces.values()
+        assert eng.makespan() == (max(tr.finish for tr in traces)
+                                  - min(tr.start for tr in traces))
 
     def test_advance_returns_newly_finalised_records(self):
         sim = OnlineSimulator(GRILLON)

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.online.engine import OnlineSimulator
-from repro.online.service import serve, submit_jobs
+from repro.online.service import OnlineService, serve, submit_jobs
 from repro.platforms.grid5000 import GRILLON
 
 STRASSEN = {"family": "strassen"}
@@ -159,6 +159,23 @@ class TestProtocol:
             sock.sendall(b'{"op": "shutdown"}\n')
             assert json.loads(rfile.readline())["type"] == "bye"
         assert server.join()
+
+
+class TestSubmitOps:
+    def test_failed_submit_can_be_retried_under_its_id(self):
+        """A submit that errors leaves no job behind: the retry is the
+        only job the drained metrics count."""
+        service = OnlineService(OnlineSimulator(GRILLON))
+        with pytest.raises(ValueError, match="power of two"):
+            service._handle_op({"op": "submit", "job_id": "x",
+                                "workload": {"family": "fft", "k": 3}},
+                               None)
+        ack = service._handle_op({"op": "submit", "job_id": "x", "t": 5,
+                                  "workload": STRASSEN}, None)
+        assert ack["type"] == "ack" and ack["admitted"]
+        drained = service._handle_op({"op": "drain"}, None)
+        assert drained["metrics"]["n_jobs"] == 1
+        assert drained["metrics"]["n_finished"] == 1
 
 
 class TestClientHelper:

@@ -1,6 +1,6 @@
-"""Property tests: the simulator's internal waterfilling solver must agree
-with the reference Max-Min implementation, and degenerate schedules must
-not break the simulator."""
+"""Property tests: the reference engine's per-flow waterfilling solver
+must agree with the reference Max-Min implementation, and degenerate
+schedules must not break the simulator."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.maxmin import maxmin_rates
-from repro.simulation.simulator import _waterfill
+from repro.simulation.reference import _waterfill
 
 
 @st.composite
@@ -89,6 +89,16 @@ class TestSimulatorDegenerateCases:
         s.add(ScheduleEntry("b", (0,), 0.0, 0.0))
         res = simulate(s)
         assert res.makespan == 0.0
+
+    def test_empty_schedule_is_rejected(self, tiny_cluster):
+        """No tasks, no makespan: a ValueError up front."""
+        from repro.dag.task import TaskGraph
+        from repro.scheduling.schedule import Schedule
+        from repro.simulation.simulator import simulate
+
+        s = Schedule(graph=TaskGraph(name="empty"), cluster=tiny_cluster)
+        with pytest.raises(ValueError, match="no tasks"):
+            simulate(s)
 
     def test_single_task_no_edges(self, tiny_cluster):
         from repro.dag.task import Task, TaskGraph
